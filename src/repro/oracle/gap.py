@@ -88,9 +88,9 @@ from .solver import Budget
 #: Stable schema version of the per-point gap payload (CI asserts it).
 GAP_SCHEMA_VERSION = 1
 
-#: Store-key scheduler name for oracle results.  Shared with the serve
-#: daemon's store: any future ``oracle`` op must key results the same
-#: way for the dedup/caching guarantees to hold.
+#: Store-key scheduler name for oracle results.  Oracle payloads share
+#: the grid's :class:`ResultStore`; this name keeps their keys disjoint
+#: from the ``balanced``/``traditional`` simulation results.
 ORACLE_SCHEDULER = "oracle"
 
 #: Loops above this size are not searched; mirrors the pipeline gate.

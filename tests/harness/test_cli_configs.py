@@ -231,17 +231,69 @@ def test_perf_history_bad_inputs_exit_with_one_liner(tmp_path):
     assert "\n" not in message
 
 
-def test_serve_metrics_bad_inputs_exit_with_one_liner(tmp_path):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["serve-metrics", "--timeout", "0"])
-    assert "--timeout must be > 0" in str(excinfo.value.code)
+_BAD_SYNTAX = """
+func main() {
+  var i : int
+  i = 1;
+}
+"""
 
+_UNDEFINED_NAME = """
+func main() {
+  var i : int;
+  i = k + 1;
+}
+"""
+
+_DIVIDE_BY_ZERO = """
+array A[4] : int;
+func main() {
+  var i : int;
+  A[0] = 0;
+  i = 5 / A[0];
+  A[1] = i;
+}
+"""
+
+
+def _one_liner(argv) -> str:
     with pytest.raises(SystemExit) as excinfo:
-        main(["serve-metrics", "--socket",
-              str(tmp_path / "no-daemon.sock"), "--timeout", "2"])
+        main(argv)
     message = str(excinfo.value.code)
-    assert message.startswith("repro serve-metrics: cannot reach")
     assert "\n" not in message
+    return message
+
+
+@pytest.mark.parametrize("command", ["compile", "run", "profile"])
+def test_parse_error_exits_with_one_liner(tmp_path, command):
+    path = tmp_path / "bad.lp"
+    path.write_text(_BAD_SYNTAX)
+    assert _one_liner([command, str(path)]) == (
+        f"repro {command}: {path}:4:3: expected ';', found 'i'")
+
+
+@pytest.mark.parametrize("command", ["compile", "run", "profile"])
+def test_semantic_error_exits_with_one_liner(tmp_path, command):
+    path = tmp_path / "sem.lp"
+    path.write_text(_UNDEFINED_NAME)
+    assert _one_liner([command, str(path)]) == (
+        f"repro {command}: {path}:4:7: undefined variable 'k'")
+
+
+@pytest.mark.parametrize("command", ["compile", "run"])
+def test_missing_source_exits_with_one_liner(tmp_path, command):
+    path = tmp_path / "missing.lp"
+    assert _one_liner([command, str(path)]) == (
+        f"repro {command}: {path}: No such file or directory")
+
+
+@pytest.mark.parametrize("command", ["run", "profile"])
+def test_simulation_fault_exits_with_one_liner(tmp_path, command):
+    path = tmp_path / "div.lp"
+    path.write_text(_DIVIDE_BY_ZERO)
+    message = _one_liner([command, str(path)])
+    assert message.startswith(f"repro {command}: {path}: ")
+    assert "division by zero" in message
 
 
 def test_compile_swp_flag(tmp_path, capsys):
