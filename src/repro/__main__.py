@@ -25,10 +25,7 @@ Commands:
   distance / unknown), per-bank MAXLIVE vs the allocatable register
   files, and the analysis lints; ``--emit-manifest``/``--attach``
   produce the manifest ``analysis`` section ``obs-diff`` gates;
-* ``workloads``      — list the 17 benchmarks;
-* ``perf-history``   — render the ``BENCH_<n>.json`` perf trajectory
-  recorded by ``bench --record``; ``--check`` exits non-zero on a
-  regression beyond threshold.
+* ``workloads``      — list the 17 benchmarks.
 
 Common compiler flags: ``--scheduler {balanced,traditional,none}``,
 ``--unroll {0,4,8}``, ``--trace``, ``--locality``, ``--swp``,
@@ -62,7 +59,6 @@ from .harness import (
     compile_source,
     options_for,
 )
-from .harness.perf import CYCLE_THRESHOLD, IPS_THRESHOLD
 from .machine import DEFAULT_CONFIG, SimulationError, Simulator
 from .obs import NULL_OBSERVER, Observer, TracingObserver
 from .workloads import WORKLOAD_ORDER, WORKLOADS
@@ -323,31 +319,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _record_bench(args: argparse.Namespace, runner) -> None:
-    """``bench --record``: append a BENCH_<n>.json trajectory record
-    built from the manifest the sweep just wrote."""
-    from .harness import append_record, load_manifest, \
-        record_from_manifest
-
-    if not runner.use_cache:
-        raise SystemExit(
-            "repro bench: --record needs the run manifest, which is "
-            "disabled by REPRO_NO_CACHE=1")
-    if not runner.manifest_path.exists():
-        raise SystemExit(
-            f"repro bench: --record found no manifest at "
-            f"{runner.manifest_path}")
-    directory = Path(args.record)
-    if directory.exists() and not directory.is_dir():
-        raise SystemExit(
-            f"repro bench: --record target {directory} is not a "
-            f"directory")
-    record = record_from_manifest(
-        load_manifest(runner.manifest_path))
-    path = append_record(directory, record)
-    print(f"perf record written: {path}", file=sys.stderr)
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     _apply_validate_flag(args)
     _apply_sim_flag(args)
@@ -376,8 +347,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"run manifest: {runner.manifest_path}", file=sys.stderr)
     if args.oracle:
         _run_oracle(args, runner, benchmarks=names)
-    if args.record is not None:
-        _record_bench(args, runner)
     _finish_trace(observer, args)
     return 0
 
@@ -385,6 +354,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_tables(args: argparse.Namespace) -> int:
     _apply_validate_flag(args)
     _apply_sim_flag(args)
+    unknown = [n for n in args.numbers if n not in ALL_TABLES]
+    if unknown:
+        raise SystemExit(
+            f"repro tables: unknown table number(s) "
+            f"{', '.join(map(str, unknown))} "
+            f"(known: {', '.join(map(str, ALL_TABLES))})")
     observer = _make_observer(args)
     runner = ExperimentRunner(verbose=True,
                               jobs=_resolve_jobs(args.jobs),
@@ -628,48 +603,6 @@ def cmd_check(args: argparse.Namespace) -> int:
                      lint=not args.no_lint)
 
 
-def cmd_perf_history(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .harness import check_history, format_history, load_history
-
-    directory = Path(args.dir)
-    if not directory.is_dir():
-        raise SystemExit(
-            f"repro perf-history: no such directory: {directory}")
-    if args.cycle_threshold < 0 or args.ips_threshold < 0:
-        raise SystemExit(
-            "repro perf-history: thresholds must be >= 0")
-    try:
-        records = load_history(directory)
-    except ValueError as exc:
-        raise SystemExit(f"repro perf-history: {exc}")
-    if not records:
-        raise SystemExit(
-            f"repro perf-history: no BENCH_*.json records in "
-            f"{directory}")
-    if args.json:
-        print(_json.dumps(records, indent=2, sort_keys=True))
-    else:
-        print(format_history(records))
-    if not args.check:
-        return 0
-    check = check_history(records,
-                          cycle_threshold=args.cycle_threshold,
-                          ips_threshold=args.ips_threshold)
-    if len(records) < 2:
-        print("perf-history check: single record, nothing to "
-              "compare (pass)", file=sys.stderr)
-        return 0
-    print(f"perf-history check: BENCH_{check.base_index} -> "
-          f"BENCH_{check.new_index}: {check.compared_cycles} grid "
-          f"points, {check.compared_engines} engines compared",
-          file=sys.stderr)
-    for line in check.regressions:
-        print(f"REGRESSION: {line}", file=sys.stderr)
-    return 0 if check.ok else 1
-
-
 def cmd_workloads(_args: argparse.Namespace) -> int:
     for name in WORKLOAD_ORDER:
         workload = WORKLOADS[name]
@@ -709,15 +642,13 @@ def main(argv: list[str] | None = None) -> int:
     _add_validate_flag(p_bench)
     _add_sim_flag(p_bench)
     _add_oracle_flags(p_bench)
-    p_bench.add_argument(
-        "--record", nargs="?", const=".", default=None, metavar="DIR",
-        help="append a BENCH_<n>.json perf-trajectory record built "
-             "from the run manifest (default DIR: current directory)")
     p_bench.set_defaults(fn=cmd_bench)
 
     p_tables = sub.add_parser("tables", help="regenerate paper tables")
     p_tables.add_argument("numbers", nargs="*", type=int,
-                          choices=sorted(ALL_TABLES))
+                          metavar="N",
+                          help=f"table numbers (default: all; known: "
+                               f"{', '.join(map(str, ALL_TABLES))})")
     _add_configs_flag(p_tables, "all")
     _add_jobs_flag(p_tables)
     _add_trace_flag(p_tables)
@@ -815,31 +746,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="errors only: skip warning/note lints")
     _add_configs_flag(p_check, "base")
     p_check.set_defaults(fn=cmd_check)
-
-    p_perf = sub.add_parser(
-        "perf-history",
-        help="render the BENCH_<n>.json perf trajectory; --check "
-             "gates the newest record against its predecessor")
-    p_perf.add_argument("dir", nargs="?", default=".",
-                        help="directory holding BENCH_<n>.json "
-                             "records (default: .)")
-    p_perf.add_argument("--check", action="store_true",
-                        help="exit non-zero if the newest record "
-                             "regressed beyond threshold")
-    p_perf.add_argument("--cycle-threshold", type=float,
-                        default=CYCLE_THRESHOLD, metavar="FRAC",
-                        help="relative cycle-increase threshold "
-                             f"(default: {CYCLE_THRESHOLD}; cycles "
-                             "are deterministic, keep this tight)")
-    p_perf.add_argument("--ips-threshold", type=float,
-                        default=IPS_THRESHOLD, metavar="FRAC",
-                        help="relative sim-IPS drop threshold "
-                             f"(default: {IPS_THRESHOLD}; throughput "
-                             "is machine-dependent, keep this "
-                             "lenient)")
-    p_perf.add_argument("--json", action="store_true",
-                        help="print the raw records as JSON")
-    p_perf.set_defaults(fn=cmd_perf_history)
 
     p_work = sub.add_parser("workloads", help="list the workload")
     p_work.set_defaults(fn=cmd_workloads)

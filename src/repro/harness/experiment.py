@@ -52,12 +52,8 @@ from ..workloads.programs import WORKLOADS, Workload
 from .compile import Options, compile_source
 from .store import ResultStore, StoreKey, atomic_write_json, source_hash
 
-#: Harness-level metrics (repro.obs.metrics).  Phase timings become
-#: *distributions* here (the manifest keeps per-run scalars); grid
-#: points are counted by how they were satisfied.
-_M_PHASE_SECONDS = _METRICS.histogram(
-    "repro_phase_seconds",
-    "wall time per compile/schedule/regalloc/simulate phase")
+#: Harness-level metrics (repro.obs.metrics): grid points counted by
+#: how they were satisfied.
 _M_GRID_POINTS = _METRICS.counter(
     "repro_grid_points_total", "grid points satisfied, by status")
 
@@ -89,10 +85,9 @@ MANIFEST_NAME = "run-manifest.json"
 #: the grid) and machine-config-aware cache keys.  v4 added the
 #: optional ``oracle`` section (heuristic-gap summary from
 #: ``repro.oracle``, attached by the ``--oracle`` CLI flag and gated
-#: by ``repro obs-diff``).  v5 added the optional ``metrics`` section
-#: (the folded :mod:`repro.obs.metrics` registry of the sweep: a
-#: p50/p95/p99 summary plus the raw mergeable snapshot), omitted when
-#: recording is off (``REPRO_METRICS=0``).  v6 added the optional
+#: by ``repro obs-diff``).  v5 added the ``metrics`` section (the
+#: folded :mod:`repro.obs.metrics` counters of the sweep: a compact
+#: summary plus the raw mergeable snapshot).  v6 added the optional
 #: ``analysis`` section (dependence/pressure summary from
 #: ``repro analyze --attach``/``--emit-manifest``, gated by
 #: ``repro obs-diff``: losing proving power or growing MAXLIVE is a
@@ -229,8 +224,8 @@ class Manifest:
     #: Heuristic-gap summary (:func:`repro.oracle.gap.oracle_summary`),
     #: attached after the sweep when ``--oracle`` is given (v4).
     oracle: Optional[dict] = None
-    #: Folded metrics registry of the sweep (v5): ``{"summary": ...,
-    #: "snapshot": ...}``; None when recording was off.
+    #: Folded metrics counters of the sweep (v5): ``{"summary": ...,
+    #: "snapshot": ...}``; None in manifests older than v5.
     metrics: Optional[dict] = None
     #: True when the sweep was interrupted (SIGTERM/SIGINT, a worker
     #: death) and the manifest covers only the completed grid points.
@@ -314,11 +309,6 @@ def _package_fingerprint(root: Optional[Path] = None) -> str:
     return digest.hexdigest()[:16]
 
 
-#: Atomic JSON writes now live in :mod:`repro.harness.store`; this
-#: alias keeps the original name importable.
-_atomic_write_json = atomic_write_json
-
-
 def _execute_grid_point(workload: Workload, scheduler: str,
                         config: str,
                         observer: Observer = NULL_OBSERVER,
@@ -347,8 +337,6 @@ def _execute_grid_point(workload: Workload, scheduler: str,
     phases["simulate"] = sim.run_seconds
     if sim.codegen_seconds:
         phases["sim_codegen"] = sim.codegen_seconds
-    for phase, seconds in phases.items():
-        _M_PHASE_SECONDS.labels(phase=phase).observe(seconds)
     result = RunResult(
         benchmark=workload.name, scheduler=scheduler, config=config,
         total_cycles=metrics.total_cycles,
@@ -409,8 +397,7 @@ def _pool_run(benchmark: str, scheduler: str, config: str,
     # Ship this worker's metrics delta in the result frame; the parent
     # folds it into its registry (snapshot_and_reset so a reused pool
     # worker never double-counts across tasks).
-    metrics = _METRICS.snapshot_and_reset() if _METRICS.recording \
-        else None
+    metrics = _METRICS.snapshot_and_reset()
     return benchmark, scheduler, config, result, timing, metrics
 
 
@@ -642,8 +629,7 @@ class ExperimentRunner:
                 self._memory[key] = result
                 if timing is not None:
                     self.timings[key] = timing
-                if metrics is not None:
-                    _METRICS.merge(metrics)
+                _METRICS.merge(metrics)
                 self._progress(done, len(pending), key)
         except BaseException:
             # Interrupted (signal) or a worker died: drop the queued
@@ -709,12 +695,11 @@ class ExperimentRunner:
             payload["modulo"] = modulo
         if self.observer.enabled:
             payload["trace"] = self.observer.summary()
-        if _METRICS.recording:
-            payload["metrics"] = {
-                "summary": _METRICS.summary(),
-                "snapshot": _METRICS.snapshot(),
-            }
-        _atomic_write_json(self.manifest_path, payload)
+        payload["metrics"] = {
+            "summary": _METRICS.summary(),
+            "snapshot": _METRICS.snapshot(),
+        }
+        atomic_write_json(self.manifest_path, payload)
 
     def _modulo_aggregates(self, grid: list[tuple[str, str, str]]) -> dict:
         """Per-(scheduler, config) software-pipelining aggregates.

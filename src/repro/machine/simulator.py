@@ -29,7 +29,6 @@ import time
 from typing import TYPE_CHECKING, Optional
 
 from ..isa import MachineProgram, OpClass, Reg
-from ..obs.metrics import IPS_BUCKETS, LATENCY_BUCKETS
 from ..obs.metrics import REGISTRY as _METRICS
 from .cache import BranchPredictor, Cache, Tlb
 from .config import DEFAULT_CONFIG, MachineConfig
@@ -40,20 +39,11 @@ if TYPE_CHECKING:   # no runtime dependency on the obs *observer* layer
 
 #: Engine-level counters (repro.obs.metrics), recorded once per run()
 #: *after* the timed window closes — the hot loops never touch them, so
-#: recording cannot perturb ``run_seconds`` or simulated state.
+#: counting cannot perturb ``run_seconds`` or simulated state.
 _M_SIM_RUNS = _METRICS.counter(
     "repro_sim_runs_total", "simulations executed, by engine")
 _M_SIM_INSTRUCTIONS = _METRICS.counter(
     "repro_sim_instructions_total", "instructions simulated, by engine")
-_M_SIM_SECONDS = _METRICS.histogram(
-    "repro_sim_run_seconds", "pure simulation wall time, by engine",
-    LATENCY_BUCKETS)
-_M_SIM_IPS = _METRICS.histogram(
-    "repro_sim_ips", "simulated instructions per wall second, by engine",
-    IPS_BUCKETS)
-_M_SIM_CODEGEN_SECONDS = _METRICS.histogram(
-    "repro_sim_codegen_seconds",
-    "compiled-engine code generation wall time", LATENCY_BUCKETS)
 
 _MASK64 = (1 << 64) - 1
 
@@ -333,18 +323,12 @@ class Simulator:
     def _record_engine_metrics(self) -> None:
         """Fold this run's engine counters into the global metrics
         registry.  Runs after the timed window and only reads state the
-        run already produced, so it can never change simulated results;
-        with recording off every call below is a guarded no-op."""
+        run already produced, so it can never change simulated
+        results."""
         engine = self.mode_used or "unknown"
         _M_SIM_RUNS.labels(engine=engine).inc()
         _M_SIM_INSTRUCTIONS.labels(engine=engine).inc(
             self.metrics.instructions)
-        _M_SIM_SECONDS.labels(engine=engine).observe(self.run_seconds)
-        if self.run_seconds > 0.0:
-            _M_SIM_IPS.labels(engine=engine).observe(
-                self.metrics.instructions / self.run_seconds)
-        if self.codegen_seconds:
-            _M_SIM_CODEGEN_SECONDS.observe(self.codegen_seconds)
 
     def _flush_machine_stats(self) -> None:
         """Copy cache/TLB/predictor state counters into the metrics."""

@@ -16,12 +16,7 @@ from .diff import (
     diff_manifest_files,
     diff_manifests,
 )
-from .metrics import (
-    LATENCY_BUCKETS,
-    REGISTRY,
-    MetricsRegistry,
-    snapshot_summary,
-)
+from .metrics import REGISTRY, MetricsRegistry
 from .observer import NULL_OBSERVER, Observer, TracingObserver
 from .provenance import LoadScheduleRecord, ScheduleProvenance
 from .stall import StallProfile
@@ -33,5 +28,5 @@ __all__ = [
     "StallProfile",
     "LoadScheduleRecord", "ScheduleProvenance",
     "DiffResult", "PointDelta", "diff_manifests", "diff_manifest_files",
-    "MetricsRegistry", "REGISTRY", "LATENCY_BUCKETS", "snapshot_summary",
+    "MetricsRegistry", "REGISTRY",
 ]

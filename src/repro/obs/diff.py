@@ -16,6 +16,7 @@ changes a way to land with a documented tolerance.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -232,7 +233,14 @@ def _diff_analysis(base: dict, new: dict,
 
 def diff_manifests(base: dict, new: dict,
                    threshold: float = 0.02) -> DiffResult:
-    """Compare two run-manifest dicts; see the module docstring."""
+    """Compare two run-manifest dicts; see the module docstring.
+
+    A negative or non-finite *threshold* is a ``ValueError``: NaN would
+    compare false against every delta and pass any regression.
+    """
+    if not math.isfinite(threshold) or threshold < 0:
+        raise ValueError(f"threshold must be a finite number >= 0, "
+                         f"got {threshold}")
     base_runs = _index_runs(base)
     new_runs = _index_runs(new)
     result = DiffResult(threshold=threshold)

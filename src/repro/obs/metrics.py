@@ -1,54 +1,40 @@
-"""Runtime metrics registry: the always-on numeric layer.
+"""Runtime metrics registry: the always-on counter layer.
 
 :mod:`repro.obs.trace` records *events* (spans with start/stop
 timestamps — expensive, opt-in, one trace per run).  This module is
 the complementary *counter* layer of the span/counter split in
-distributed-tracing practice: monotonic counters and fixed-bucket
-histograms cheap enough to leave enabled on every sweep,
-dependency-free, and mergeable across the grid's pool workers.
+distributed-tracing practice: labeled monotonic counters cheap enough
+to leave on for every sweep, dependency-free, and mergeable across
+the grid's pool workers.  Wall time is not recorded here: each run's
+phase timings live in the run manifest (``runs[*].phase_seconds``).
 
 Design constraints, in order:
 
 * **Zero observable effect on results.**  The registry only ever
   *observes*; nothing in the compiler or simulator reads it back, so
-  cycles, interlocks and cache keys are bit-identical with recording
-  on or off (tested).  The hot simulation loops are never touched —
-  engine counters are folded in *after* a run finishes.
-* **Cheap enough to leave on.**  A disabled registry costs one
-  attribute test per instrument call; an enabled counter bump is one
-  dict ``get`` + add.  Histograms use precomputed bucket bounds and a
-  linear scan (the bucket lists are short).
-* **Exact, mergeable state.**  Counters and histogram bucket counts
-  are plain ints (no float drift when merging); merging two snapshots
-  is element-wise integer/float addition.  Each pool worker snapshots
-  its registry into the result frame and the parent folds the deltas
-  into a global registry — folded totals equal the sum by
+  cycles, interlocks and cache keys never depend on it.  The hot
+  simulation loops are never touched — engine counters are folded in
+  *after* a run finishes.
+* **Cheap.**  A counter bump is one dict ``get`` + add, and counters
+  are bumped a handful of times per grid point.
+* **Exact, mergeable state.**  Counters are plain ints, so merging two
+  snapshots is element-wise integer addition.  Each pool worker
+  snapshots its registry into the result frame and the parent folds
+  the deltas into a global registry — folded totals equal the sum by
   construction (tested across real processes).
 
 Naming follows Prometheus conventions (``snake_case``, ``_total``
-suffix on counters, ``_seconds`` on latency histograms).  The run
-manifest's ``metrics`` section is :meth:`MetricsRegistry.summary`.
+suffix).  The run manifest's ``metrics`` section is
+:meth:`MetricsRegistry.summary` plus the raw snapshot.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
-from bisect import bisect_left
-from typing import Optional, Sequence
 
 #: Snapshot schema version (bumped on incompatible layout changes).
 SNAPSHOT_SCHEMA = 1
-
-#: Default histogram buckets for wall-clock latencies in seconds.
-LATENCY_BUCKETS: tuple[float, ...] = (
-    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
-    0.5, 1.0, 2.5, 5.0, 10.0, 30.0)
-
-#: Default buckets for simulated-instructions-per-second throughput.
-IPS_BUCKETS: tuple[float, ...] = (
-    1e4, 3e4, 1e5, 3e5, 1e6, 3e6, 1e7, 3e7, 1e8)
 
 
 def _label_key(labels: dict) -> str:
@@ -72,168 +58,65 @@ def _parse_label_key(key: str) -> dict:
 class Counter:
     """One monotonic counter child (a single label set)."""
 
-    __slots__ = ("_family", "_key", "value")
+    __slots__ = ("_family", "value")
 
-    def __init__(self, family: "Family", key: str) -> None:
+    def __init__(self, family: "Family") -> None:
         self._family = family
-        self._key = key
         self.value = 0
 
     def inc(self, amount: int = 1) -> None:
-        if self._family.registry.recording:
-            if amount < 0:
-                raise ValueError(
-                    f"counter {self._family.name} cannot decrease "
-                    f"(inc({amount}))")
-            self.value += amount
-
-
-class Histogram:
-    """Fixed-bucket histogram child with exact integer bucket counts.
-
-    ``bucket_counts[i]`` counts observations ``<= bounds[i]``
-    (non-cumulative, per-bucket); the final implicit ``+Inf`` bucket is
-    ``bucket_counts[-1]``.  ``sum``/``count`` are exact (``count`` an
-    int; ``sum`` a float accumulated once per observation).
-    """
-
-    __slots__ = ("_family", "_key", "bounds", "bucket_counts", "sum",
-                 "count")
-
-    def __init__(self, family: "Family", key: str,
-                 bounds: Sequence[float]) -> None:
-        self._family = family
-        self._key = key
-        self.bounds = tuple(bounds)
-        self.bucket_counts = [0] * (len(self.bounds) + 1)
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        if self._family.registry.recording:
-            self.bucket_counts[bisect_left(self.bounds, value)] += 1
-            self.sum += value
-            self.count += 1
-
-    # ------------------------------------------------------- quantiles
-    def quantile(self, q: float) -> float:
-        """Estimated *q*-quantile (0..1) by linear interpolation
-        inside the bucket where the rank falls.  The +Inf bucket
-        reports its lower bound (the largest finite bound)."""
-        if not self.count:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for i, n in enumerate(self.bucket_counts):
-            if not n:
-                continue
-            if seen + n >= rank:
-                hi = (self.bounds[i] if i < len(self.bounds)
-                      else self.bounds[-1])
-                lo = self.bounds[i - 1] if i > 0 else 0.0
-                if i >= len(self.bounds):
-                    return hi
-                frac = (rank - seen) / n
-                return lo + (hi - lo) * min(max(frac, 0.0), 1.0)
-            seen += n
-        return self.bounds[-1] if self.bounds else 0.0
-
-    def percentiles(self) -> dict:
-        """The standard p50/p95/p99 summary plus count and mean."""
-        return {
-            "count": self.count,
-            "mean": round(self.sum / self.count, 6) if self.count
-            else 0.0,
-            "p50": round(self.quantile(0.50), 6),
-            "p95": round(self.quantile(0.95), 6),
-            "p99": round(self.quantile(0.99), 6),
-        }
+        if amount < 0:
+            raise ValueError(
+                f"counter {self._family.name} cannot decrease "
+                f"(inc({amount}))")
+        self.value += amount
 
 
 class Family:
-    """A named metric family: one child per label set."""
+    """A named counter family: one child per label set."""
 
-    __slots__ = ("registry", "name", "kind", "help", "bounds",
-                 "_children")
+    __slots__ = ("name", "help", "_children")
 
-    def __init__(self, registry: "MetricsRegistry", name: str,
-                 kind: str, help: str = "",
-                 bounds: Optional[Sequence[float]] = None) -> None:
-        self.registry = registry
+    def __init__(self, name: str, help: str = "") -> None:
         self.name = name
-        self.kind = kind
         self.help = help
-        self.bounds = tuple(bounds) if bounds is not None else None
-        self._children: dict[str, object] = {}
+        self._children: dict[str, Counter] = {}
 
-    def labels(self, **labels):
+    def labels(self, **labels) -> Counter:
         """The child for one label set (created on first use)."""
         key = _label_key(labels)
         child = self._children.get(key)
         if child is None:
-            if self.kind == "histogram":
-                child = Histogram(self, key, self.bounds or
-                                  LATENCY_BUCKETS)
-            else:
-                child = Counter(self, key)
-            self._children[key] = child
+            child = self._children[key] = Counter(self)
         return child
 
-    # Unlabeled convenience forwarding: family.inc() etc. act on the
+    # Unlabeled convenience forwarding: family.inc() acts on the
     # empty-label child, so a scalar metric needs no labels() call.
-    def inc(self, amount=1) -> None:
+    def inc(self, amount: int = 1) -> None:
         self.labels().inc(amount)
 
-    def observe(self, value: float) -> None:
-        self.labels().observe(value)
-
     @property
-    def value(self):
+    def value(self) -> int:
         return self.labels().value
 
-    def children(self) -> dict[str, object]:
+    def children(self) -> dict[str, Counter]:
         return dict(self._children)
 
 
 class MetricsRegistry:
-    """A set of metric families with snapshot/merge semantics.
+    """A set of counter families with snapshot/merge semantics."""
 
-    Instrumented code holds a family (or child) reference and bumps it
-    unconditionally; the one ``recording`` bool inside each bump is
-    the entire cost of the disabled path.  ``recording`` defaults from
-    the ``REPRO_METRICS`` environment variable (anything but ``"0"``
-    enables it).
-    """
-
-    def __init__(self, recording: Optional[bool] = None) -> None:
-        if recording is None:
-            recording = os.environ.get("REPRO_METRICS", "1") != "0"
-        self.recording = recording
+    def __init__(self) -> None:
         self._families: dict[str, Family] = {}
         self._lock = threading.Lock()
 
-    # ----------------------------------------------------- registration
-    def _family(self, name: str, kind: str, help: str = "",
-                bounds: Optional[Sequence[float]] = None) -> Family:
+    def counter(self, name: str, help: str = "") -> Family:
+        """The family called *name* (registered on first use)."""
         with self._lock:
             family = self._families.get(name)
             if family is None:
-                family = Family(self, name, kind, help=help,
-                                bounds=bounds)
-                self._families[name] = family
-            elif family.kind != kind:
-                raise ValueError(
-                    f"metric {name!r} already registered as "
-                    f"{family.kind}, not {kind}")
+                family = self._families[name] = Family(name, help=help)
             return family
-
-    def counter(self, name: str, help: str = "") -> Family:
-        return self._family(name, "counter", help=help)
-
-    def histogram(self, name: str, help: str = "",
-                  buckets: Optional[Sequence[float]] = None) -> Family:
-        return self._family(name, "histogram", help=help,
-                            bounds=buckets or LATENCY_BUCKETS)
 
     def families(self) -> dict[str, Family]:
         with self._lock:
@@ -244,28 +127,16 @@ class MetricsRegistry:
         """JSON-able copy of every family (the cross-process frame).
 
         Empty families (registered, never bumped) are included with no
-        children so the merged side still learns the name and kind.
+        children so the merged side still learns the name.
         """
         out: dict = {"schema": SNAPSHOT_SCHEMA, "families": {}}
         for name, family in sorted(self.families().items()):
-            entry: dict = {"kind": family.kind}
+            entry: dict = {"kind": "counter"}
             if family.help:
                 entry["help"] = family.help
-            children = {}
-            for key, child in sorted(family.children().items()):
-                if family.kind == "histogram":
-                    children[key] = {
-                        "bounds": list(child.bounds),
-                        "bucket_counts": list(child.bucket_counts),
-                        "sum": child.sum,
-                        "count": child.count,
-                    }
-                else:
-                    children[key] = child.value
-            entry["children"] = children
-            if family.kind == "histogram":
-                entry["bounds"] = list(family.bounds or
-                                       LATENCY_BUCKETS)
+            entry["children"] = {
+                key: child.value
+                for key, child in sorted(family.children().items())}
             out["families"][name] = entry
         return out
 
@@ -285,58 +156,30 @@ class MetricsRegistry:
     def merge(self, snapshot: dict) -> None:
         """Fold another registry's snapshot into this one.
 
-        Counters and histogram buckets/sums/counts add (ints stay
-        ints, so bucket counts are exact).  Unknown families are
-        created on the fly; an unknown family *kind* is a
-        ``ValueError`` naming the family.
+        Counters add (ints stay ints, so totals are exact).  Unknown
+        families are created on the fly; a family of any kind other
+        than ``counter`` is a ``ValueError`` naming the family.
         """
         for name, entry in snapshot.get("families", {}).items():
             kind = entry.get("kind")
-            if kind not in ("counter", "histogram"):
+            if kind != "counter":
                 raise ValueError(
                     f"metric {name!r}: unknown kind {kind!r} on merge")
-            family = self._family(name, kind,
-                                  help=entry.get("help", ""),
-                                  bounds=entry.get("bounds"))
-            for key, payload in entry.get("children", {}).items():
-                child = family.labels(**_parse_label_key(key))
-                if kind == "counter":
-                    child.value += payload
-                else:
-                    if tuple(payload["bounds"]) != child.bounds:
-                        raise ValueError(
-                            f"histogram {name!r}: bucket bounds "
-                            f"mismatch on merge")
-                    for i, n in enumerate(payload["bucket_counts"]):
-                        child.bucket_counts[i] += n
-                    child.sum += payload["sum"]
-                    child.count += payload["count"]
+            family = self.counter(name, help=entry.get("help", ""))
+            for key, value in entry.get("children", {}).items():
+                family.labels(**_parse_label_key(key)).value += value
 
     def summary(self) -> dict:
-        """Compact JSON view: counters by name, histograms as
-        p50/p95/p99 summaries (the ``metrics`` manifest section)."""
+        """Compact JSON view: counter values by name and label set
+        (the ``metrics`` manifest section)."""
         out: dict = {}
         for name, family in sorted(self.families().items()):
             children = family.children()
-            if not children:
-                continue
-            if family.kind == "histogram":
-                out[name] = {key or "_": child.percentiles()
-                             for key, child in sorted(children.items())}
-            else:
+            if children:
                 out[name] = {key or "_": child.value
                              for key, child in sorted(children.items())}
         return out
 
 
-def snapshot_summary(snapshot: dict) -> dict:
-    """Compact p50/p95/p99 summary of a serialized snapshot."""
-    registry = MetricsRegistry(recording=True)
-    registry.merge(snapshot)
-    return registry.summary()
-
-
 #: The process-global registry every instrumented layer records into.
-#: ``REPRO_METRICS=0`` disables recording process-wide (the registry
-#: object still exists, so instrumented code never branches on None).
 REGISTRY = MetricsRegistry()

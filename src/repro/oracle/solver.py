@@ -27,7 +27,9 @@ The engine is a classic DFS with bounds-consistency propagation:
 per-op windows ``[lo, hi]`` are tightened to a fixpoint over the
 difference arcs (Bellman-Ford style; a window that keeps moving after
 ``n`` sweeps proves a positive cycle, which is itself an infeasibility
-certificate), variables are chosen fail-first (smallest window), and
+certificate), an interval overload check prunes acyclic states whose
+unplaced ops cannot fit the issue slots left free, variables are chosen
+fail-first (smallest window), and
 values are tried in increasing cycle order.  No external dependencies.
 """
 
@@ -209,6 +211,55 @@ class _Search:
         # Still moving after n sweeps: positive cycle => infeasible.
         return False
 
+    def tighten(self) -> bool:
+        """Propagate the arcs and the stall budget to a joint fixpoint;
+        False on wipeout or when the stall bound cannot be met."""
+        while True:
+            if not self.propagate():
+                return False
+            if self.stall is None:
+                return True
+            moved = self.propagate_stall()
+            if moved is None:
+                return False
+            if not moved:
+                return True
+
+    def propagate_stall(self) -> Optional[bool]:
+        """Turn the stall budget into minimum load-to-use gaps.
+
+        A load may stall at most the budget left after every other
+        load's (and, with ``include_makespan``, the makespan's) lower
+        bound, so each of its true consumers must issue at least
+        ``weight - allowance`` cycles after it.  Returns None on
+        wipeout (or an exceeded budget), else whether a window moved.
+        """
+        assert self.stall is not None
+        lo, hi = self.lo, self.hi
+        slack = self.stall.bound - self.stall_lower_bound()
+        if slack < 0:
+            return None
+        moved = False
+        for load, consumers, weight in self.stall.loads:
+            if not consumers:
+                continue
+            own = max(0, weight - (min(hi[c] for c in consumers) - lo[load]))
+            need = weight - own - slack
+            if need <= 0:
+                continue
+            for c in consumers:
+                if lo[load] + need > lo[c]:
+                    if lo[load] + need > hi[c]:
+                        return None
+                    lo[c] = lo[load] + need
+                    moved = True
+                if hi[c] - need < hi[load]:
+                    if hi[c] - need < lo[load]:
+                        return None
+                    hi[load] = hi[c] - need
+                    moved = True
+        return moved
+
     def stall_lower_bound(self) -> int:
         """Sound lower bound on the stall objective given the windows.
 
@@ -226,8 +277,73 @@ class _Search:
             max_gap = min(self.hi[c] for c in consumers) - self.lo[load]
             total += max(0, weight - max_gap)
         if self.stall.include_makespan and self.lo:
-            total += max(self.lo) + 1
+            total += self.makespan_lower_bound()
         return total
+
+    def makespan_lower_bound(self) -> int:
+        """Sound lower bound on ``max(t) + 1`` given the windows.
+
+        Besides the latest window start, the ``k`` ops whose windows
+        start at or after cycle ``a`` issue in distinct slots from ``a``
+        on, so the makespan is at least ``a + ceil(k / width)`` (and
+        likewise for memory ops and ports).  Acyclic problems only; on a
+        complete assignment the bound is exact.
+        """
+        problem, lo = self.problem, self.lo
+        bound = max(lo) + 1
+        if problem.ii is not None:
+            return bound
+        for cap, ops in (
+            (problem.issue_width, range(problem.n)),
+            (problem.mem_ports,
+             [i for i in range(problem.n) if problem.is_mem[i]]),
+        ):
+            starts = sorted((lo[i] for i in ops), reverse=True)
+            for k, a in enumerate(starts, start=1):
+                bound = max(bound, a + -(-k // cap))
+        return bound
+
+    def overload_free(self) -> bool:
+        """Interval overload check for acyclic problems; False on overload.
+
+        The unplaced ops whose windows lie inside ``[a, b]`` need that
+        many distinct issue slots there (and memory-port slots, for the
+        memory ops), so their count may not exceed the capacity the
+        placed ops leave free.  Intervals run from each window start to
+        each window end.  Modulo rows wrap, so modulo problems skip it.
+        """
+        problem = self.problem
+        if problem.ii is not None:
+            return True
+        pending = [i for i in range(problem.n) if not self.placed[i]]
+        if not pending:
+            return True
+        first = min(self.lo[i] for i in pending)
+        last = max(self.hi[i] for i in pending)
+        used_before = [0]
+        mem_before = [0]
+        for t in range(first, last + 1):
+            used, mem_used = self.rows.get(t, (0, 0))
+            used_before.append(used_before[-1] + used)
+            mem_before.append(mem_before[-1] + mem_used)
+        for cap, ops, before in (
+            (problem.issue_width, pending, used_before),
+            (problem.mem_ports,
+             [i for i in pending if problem.is_mem[i]], mem_before),
+        ):
+            by_end = sorted(ops, key=lambda i: self.hi[i])
+            for a in sorted({self.lo[i] for i in ops}):
+                count = 0
+                for i in by_end:
+                    if self.lo[i] < a:
+                        continue
+                    count += 1
+                    b = self.hi[i]
+                    free = cap * (b - a + 1) - \
+                        (before[b - first + 1] - before[a - first])
+                    if count > free:
+                        return False
+        return True
 
     # -- resource rows -----------------------------------------------
 
@@ -284,9 +400,7 @@ class _Search:
             self.lo[op] = self.hi[op] = t
             self.placed[op] = True
             self.occupy(t, is_mem)
-            ok = self.propagate()
-            if ok and self.stall is not None:
-                ok = self.stall_lower_bound() <= self.stall.bound
+            ok = self.tighten() and self.overload_free()
             if ok and self.search():
                 return True
             self.release(t, is_mem)
@@ -321,9 +435,7 @@ def solve_decision(
     start_nodes = budget.nodes
     search = _Search(problem, list(lo), list(hi), budget, stall)
     try:
-        if not search.propagate():
-            return Outcome(UNSAT, nodes=budget.nodes - start_nodes)
-        if stall is not None and search.stall_lower_bound() > stall.bound:
+        if not (search.tighten() and search.overload_free()):
             return Outcome(UNSAT, nodes=budget.nodes - start_nodes)
         if search.search():
             times = search.solution

@@ -12,9 +12,9 @@ import pytest
 from repro.harness.experiment import (
     ExperimentRunner,
     RunResult,
-    _atomic_write_json,
     _package_fingerprint,
 )
+from repro.harness.store import atomic_write_json
 
 
 @pytest.fixture()
@@ -40,14 +40,14 @@ class TestAtomicStore:
     def test_atomic_write_replaces_existing(self, tmp_path):
         target = tmp_path / "entry.json"
         target.write_text(json.dumps({"old": True}))
-        _atomic_write_json(target, {"old": False, "n": 3})
+        atomic_write_json(target, {"old": False, "n": 3})
         assert json.loads(target.read_text()) == {"old": False, "n": 3}
         assert list(tmp_path.iterdir()) == [target]
 
     def test_atomic_write_failure_cleans_temp(self, tmp_path):
         target = tmp_path / "entry.json"
         with pytest.raises(TypeError):
-            _atomic_write_json(target, {"bad": object()})
+            atomic_write_json(target, {"bad": object()})
         assert list(tmp_path.iterdir()) == []
 
 

@@ -4,6 +4,7 @@ Bad inputs must exit non-zero with a one-line error, never a
 traceback; the message must name the offending value."""
 
 import argparse
+import json
 import os
 
 import pytest
@@ -67,6 +68,26 @@ def test_tables_skips_uncovered_tables(monkeypatch, capsys):
     assert "Table 1" in captured.out
     assert "Table 4" not in captured.out
     assert "skipping table(s) [4]" in captured.err
+
+
+def test_tables_without_numbers_renders_every_selected_table(
+        monkeypatch, capsys):
+    # No numbers means all tables; "base" alone covers the static 1-3.
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    monkeypatch.delenv("REPRO_CONFIGS", raising=False)
+    assert main(["tables", "--configs", "base"]) == 0
+    captured = capsys.readouterr()
+    for number in (1, 2, 3):
+        assert f"Table {number}" in captured.out
+    assert "skipping table(s) [4, 5, 6, 7, 8, 9, 10]" in captured.err
+
+
+def test_tables_unknown_number_exits_with_one_liner():
+    with pytest.raises(SystemExit) as excinfo:
+        main(["tables", "1", "11"])
+    message = str(excinfo.value.code)
+    assert message.startswith("repro tables: unknown table number(s) 11")
+    assert "\n" not in message
 
 
 def test_resolve_jobs_values(monkeypatch):
@@ -161,73 +182,23 @@ def test_obs_diff_bad_json_exits_with_one_liner(tmp_path):
     assert str(excinfo.value.code).startswith("repro obs-diff:")
 
 
-def test_bench_record_without_cache_exits_with_one_liner(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    monkeypatch.delenv("REPRO_CONFIGS", raising=False)
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-0.01"])
+def test_obs_diff_bad_threshold_exits_with_one_liner(tmp_path, threshold):
+    # A NaN threshold compares false against every delta: without the
+    # check a manifest with doubled cycles would pass the gate.
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({"runs": [{
+        "benchmark": "ora", "scheduler": "balanced", "config": "base",
+        "total_cycles": 100}]}))
+    slow = tmp_path / "slow.json"
+    slow.write_text(json.dumps({"runs": [{
+        "benchmark": "ora", "scheduler": "balanced", "config": "base",
+        "total_cycles": 200}]}))
     with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "ora", "--configs", "base", "--record"])
+        main(["obs-diff", str(base), str(slow),
+              "--threshold", threshold])
     message = str(excinfo.value.code)
-    assert "needs the run manifest" in message
-    assert "REPRO_NO_CACHE" in message
-    assert "\n" not in message
-
-
-def test_bench_record_target_must_be_directory(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_CONFIGS", raising=False)
-    clobber = tmp_path / "a-file"
-    clobber.write_text("")
-    with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "ora", "--configs", "base",
-              "--record", str(clobber)])
-    assert "is not a directory" in str(excinfo.value.code)
-
-
-def test_bench_record_then_history_check_roundtrip(
-        monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_CONFIGS", raising=False)
-    records = tmp_path / "perf"
-    argv = ["bench", "ora", "--configs", "base",
-            "--record", str(records)]
-    assert main(argv) == 0
-    assert main(argv) == 0          # second record: identical sweep
-    assert (records / "BENCH_1.json").exists()
-    assert main(["perf-history", str(records), "--check"]) == 0
-    captured = capsys.readouterr()
-    assert "BENCH_0 -> BENCH_1" in captured.err
-    # The gate actually bites: double every cycle count in a third
-    # record and --check must exit non-zero with REGRESSION lines.
-    import json as _json
-    slow = _json.loads((records / "BENCH_1.json").read_text())
-    slow["cycles"] = {point: cycles * 2
-                      for point, cycles in slow["cycles"].items()}
-    (records / "BENCH_2.json").write_text(_json.dumps(slow))
-    assert main(["perf-history", str(records), "--check"]) == 1
-    assert "REGRESSION: cycles" in capsys.readouterr().err
-
-
-def test_perf_history_bad_inputs_exit_with_one_liner(tmp_path):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["perf-history", str(tmp_path / "nope")])
-    assert "no such directory" in str(excinfo.value.code)
-
-    with pytest.raises(SystemExit) as excinfo:
-        main(["perf-history", str(tmp_path),
-              "--cycle-threshold", "-1"])
-    assert "thresholds must be >= 0" in str(excinfo.value.code)
-
-    with pytest.raises(SystemExit) as excinfo:
-        main(["perf-history", str(tmp_path)])
-    assert "no BENCH_*.json records" in str(excinfo.value.code)
-
-    (tmp_path / "BENCH_0.json").write_text("{torn")
-    with pytest.raises(SystemExit) as excinfo:
-        main(["perf-history", str(tmp_path)])
-    message = str(excinfo.value.code)
-    assert "unreadable record" in message
+    assert message.startswith("repro obs-diff: threshold must be")
     assert "\n" not in message
 
 

@@ -41,11 +41,13 @@ def test_manifest_loads_into_equal_dataclasses(tmp_path):
     assert swp.modulo["attempted"] >= swp.modulo["pipelined"]
     assert manifest.modulo, "sweep-level modulo aggregates present"
 
-    # v5: the folded metrics registry rides along (summary + snapshot).
+    # v5: the folded metrics counters ride along (summary + snapshot).
     assert manifest.metrics is not None
-    assert "repro_phase_seconds" in manifest.metrics["summary"]
+    assert "repro_grid_points_total" in manifest.metrics["summary"]
     snapshot = manifest.metrics["snapshot"]
     assert "repro_sim_runs_total" in snapshot["families"]
+    assert {family["kind"] for family in
+            snapshot["families"].values()} == {"counter"}
 
 
 def test_manifest_json_roundtrip_is_lossless(tmp_path):

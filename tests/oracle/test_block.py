@@ -48,6 +48,17 @@ def test_oracle_never_beaten_by_a_heuristic():
             assert result.total <= h_makespan + h_stall, name
 
 
+def test_tight_random_blocks_are_certified_within_default_budget():
+    # Single-issue blocks whose makespan or stall optimum is only
+    # refuted one cycle below by counting issue slots.
+    for size, seed, load_fraction in ((12, 349, 0.7), (12, 3791, 0.1),
+                                      (12, 2815, 0.1), (12, 8377, 0.6)):
+        dag = random_dag(size, seed=seed, load_fraction=load_fraction)
+        result, _, _ = _run(dag)
+        assert result.status == STATUS_OPTIMAL, (size, seed)
+        assert result.makespan == result.makespan_lb
+
+
 def test_witness_is_a_legal_schedule():
     dag = random_dag(12, seed=3, load_fraction=0.5)
     result, weights, _ = _run(dag)

@@ -46,6 +46,24 @@ def test_issue_width_row_capacity():
     assert len(set(out.times)) == 3
 
 
+def test_overload_is_certified_without_search():
+    # Twelve independent ops, single issue, eleven cycles: the interval
+    # overload check refutes the root, so no assignment is ever tried.
+    problem = _problem(12)
+    out = _solve(problem, [0] * 12, [10] * 12, budget=Budget(max_nodes=2))
+    assert out.status == UNSAT
+
+
+def test_overload_counts_placed_ops_and_memory_ports():
+    # Op 0 pins cycle 0; the three memory ops need three port slots in
+    # cycles 1..2 of a dual-issue, single-port machine.
+    problem = _problem(4, [Arc(0, 1, 1), Arc(0, 2, 1), Arc(0, 3, 1)],
+                       is_mem=[False, True, True, True], issue_width=2)
+    out = _solve(problem, [0] * 4, [2] * 4, budget=Budget(max_nodes=3))
+    assert out.status == UNSAT
+    assert _solve(problem, [0] * 4, [3] * 4).status == SAT
+
+
 def test_memory_ports_bind_separately():
     problem = _problem(2, is_mem=[True, True], issue_width=2,
                        mem_ports=1)
@@ -111,6 +129,35 @@ def test_stall_with_makespan_counts_both():
     assert out.status == SAT
     total = max(out.times) + 1 + assignment_stall(out.times, loads)
     assert total <= 6
+
+
+def test_stall_budget_propagates_into_gaps():
+    # Two loads of weight 3, each with one consumer, single issue, zero
+    # stall budget.  In four cycles both loads would have to issue at
+    # cycle 0, which the propagated gaps expose at the root; five
+    # cycles fit (loads at 0 and 1, consumers at 3 and 4).
+    problem = _problem(4, [Arc(0, 1, 1), Arc(2, 3, 1)],
+                       is_mem=[True, False, True, False])
+    spec = StallSpec(loads=((0, (1,), 3), (2, (3,), 3)), bound=0)
+    out = _solve(problem, [0] * 4, [3] * 4, budget=Budget(max_nodes=8),
+                 stall=spec)
+    assert out.status == UNSAT
+    out = _solve(problem, [0] * 4, [4] * 4, stall=spec)
+    assert out.status == SAT
+    assert assignment_stall(out.times, spec.loads) == 0
+
+
+def test_combined_bound_counts_issue_slots():
+    # Five independent ops on a single-issue machine span at least five
+    # cycles however wide their windows are, so span + stall <= 4 is
+    # refuted at the root.
+    problem = _problem(5, is_mem=[True] + [False] * 4)
+    spec = StallSpec(loads=(), bound=4, include_makespan=True)
+    out = _solve(problem, [0] * 5, [9] * 5, budget=Budget(max_nodes=2),
+                 stall=spec)
+    assert out.status == UNSAT
+    spec = StallSpec(loads=(), bound=5, include_makespan=True)
+    assert _solve(problem, [0] * 5, [9] * 5, stall=spec).status == SAT
 
 
 def test_acyclic_problem_rejects_carried_arcs():
