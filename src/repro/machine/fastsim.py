@@ -30,6 +30,19 @@ by *compiling* each basic block to a specialized Python function:
   frequencies the compiler's trace picker needs — no timing, cache or
   predictor state at all.  Cycle counters are placeholders.
 
+Compilation is lazy and per block.  Every dispatch-table entry starts
+as a stub; the first call generates that block's source, compiles it,
+installs it and runs it, so blocks that never execute cost nothing.  A
+replay-eligible block first runs its full variant behind a counting
+wrapper; after ``REPLAY_TIER_UP`` executions the wrapper compiles the
+replay variant and swaps itself out for the raw full variant, leaving
+the driver's dispatch loop untouched.  Compiled block factories are
+cached per block, keyed by the block's generated source (which inlines
+every program- and configuration-dependent value), so identical
+blocks of the balanced/traditional twins and of repeated programs
+share bytecode.  Compile time is added to ``Simulator.codegen_seconds``
+and kept out of ``run_seconds``.
+
 ``build_engine`` returns ``None`` whenever the configuration needs
 the interpreter (multi-issue, multiple memory ports, stall
 attribution, profiling), keeping the fallback decision in one place.
@@ -37,13 +50,15 @@ attribution, profiling), keeping the fallback decision in one place.
 
 from __future__ import annotations
 
+import time
+
 from ..obs.metrics import REGISTRY as _METRICS
 from .simulator import SimulationError
 
 #: Engine counters (repro.obs.metrics).  Replay dispatch outcomes are
 #: tallied in plain local ints inside the hot driver loop and folded
-#: into the registry once at finalize; the code-object cache counters
-#: bump once per engine build.  Neither touches timing state.
+#: into the registry once at finalize; the code cache counters bump
+#: once per block compile.  Neither touches timing state.
 _M_REPLAY_HITS = _METRICS.counter(
     "repro_fastsim_replay_hits_total",
     "block executions served by a memoized replay variant")
@@ -52,10 +67,10 @@ _M_REPLAY_MISSES = _METRICS.counter(
     "replay guard failures that fell back to the full variant")
 _M_CODE_HITS = _METRICS.counter(
     "repro_fastsim_code_cache_hits_total",
-    "engine builds that reused a cached compiled code object")
+    "block compiles served by a cached compiled block factory")
 _M_CODE_MISSES = _METRICS.counter(
     "repro_fastsim_code_cache_misses_total",
-    "engine builds that compiled fresh bytecode")
+    "block compiles that compiled fresh bytecode")
 
 # Shared counter-vector indices: one flat list instead of per-event
 # attribute updates; flushed into Metrics once at the end of a run.
@@ -68,6 +83,10 @@ _NCTR = 15
 #: dropped (reset on every success): blocks whose working set never
 #: converges should not pay guard cost forever.
 REPLAY_DISABLE_AFTER = 64
+
+#: Executions after which a replay-eligible block compiles its replay
+#: variant: most blocks run too few times to repay the compile.
+REPLAY_TIER_UP = 16
 
 _M64 = (1 << 64) - 1
 
@@ -93,10 +112,17 @@ def _leaders(decoded, extra=()):
 
 
 class _Gen:
-    """Source generator for one simulator's block functions."""
+    """Source generator and lazy compiler for one simulator's blocks.
 
-    def __init__(self, sim):
+    Every span's static counts are registered up front, so a block's
+    ctr slot is ``_NCTR`` + its span index whatever order blocks are
+    first entered in; *prelude* is the ``_factory`` header each block
+    compiles under.
+    """
+
+    def __init__(self, sim, spans, prelude):
         self.sim = sim
+        self.prelude = prelude
         self.cfg = sim.config
         self.d = sim._decoded
         self.memb = len(sim.memory) << 3
@@ -118,6 +144,8 @@ class _Gen:
         self.small_ispace = (((len(self.d) * 4 - 1)
                               >> sim.itlb.page_shift)
                              + 1 <= self.cfg.itlb.entries)
+        for start, end in spans:
+            self.register_block(start, end)
 
     def w(self, ind, text):
         self.out.append(" " * ind + text)
@@ -143,7 +171,13 @@ class _Gen:
                             nl if self.inline_mem else 0, ni))
         self.slot_of[start] = slot
         self.ctr.append(0)
-        return slot
+
+    def compile(self, emit, name, start, end):
+        """Compile block *name* with *emit*, charged to codegen time."""
+        t0 = time.perf_counter()
+        fn = _compile_block(self, emit, name, start, end)
+        self.sim.codegen_seconds += time.perf_counter() - t0
+        return fn
 
     # ------------------------------------------------------- readiness
     def _alu_value(self, ind, code, a, b, dread, target, pc):
@@ -198,12 +232,9 @@ class _Gen:
             raise AssertionError(f"unsupported opcode code {code}")
 
     # ---------------------------------------------------- class batches
-    def _batches(self, ind, start, end):
+    def _batches(self, ind, start):
         """One execution-count bump; static counts multiply at finalize."""
-        slot = self.slot_of.get(start)
-        if slot is None:
-            slot = self.register_block(start, end)
-        self.w(ind, f"ctr[{slot}] += 1")
+        self.w(ind, f"ctr[{self.slot_of[start]}] += 1")
 
     # -------------------------------------------------- fetch modelling
     def _icheck(self, ind, ad, count_access):
@@ -322,7 +353,7 @@ class _Gen:
         sim = self.sim
         w(1, f"def {name}(t, lastL, lastP):")
         ind = 2
-        self._batches(ind, start, end)
+        self._batches(ind, start)
         needs_q, finals = self._prepass(start, end)
         inline_mem = (cfg.memory_model == "hierarchy"
                       and sim.l1d.assoc == 1)
@@ -776,7 +807,7 @@ class _Gen:
                     srdy[dest] = (f"q{n}", False)
                 K += 1
         # ---- phase 2: commit.
-        self._batches(ind, start, end)
+        self._batches(ind, start)
         if not cfg.perfect_icache:
             # Interior probe accesses are in the block's static counts;
             # only the conditional entry probe counts dynamically.
@@ -819,9 +850,10 @@ class _Gen:
         return str(ad >> 5), str(ad >> 13)
 
     # --------------------------------------------------- profile blocks
-    def emit_profile(self, name, start, end, label):
+    def emit_profile(self, name, start, end):
         d = self.d
         w = self.w
+        label = self.sim._block_starts.get(start)
         w(1, f"def {name}(cur):")
         ind = 2
         if label is not None:
@@ -830,7 +862,7 @@ class _Gen:
             w(ind + 1, f"e = (cur, {label!r})")
             w(ind + 1, "EC[e] = EC.get(e, 0) + 1")
             w(ind, f"cur = {label!r}")
-        self._batches(ind, start, end)
+        self._batches(ind, start)
         for p in range(start, end):
             (code, dest, srcs, imm, offset, target, _lat, _cls,
              _spill, _rd, _track) = d[p]
@@ -888,45 +920,53 @@ _TIMING_BINDINGS = [
     "L1IW = S.l1i.sets", "L1DST = S.l1d.stats", "L1IST = S.l1i.stats",
     "MSHR = S._mshr",
 ]
+_PROFILE_BINDINGS = [
+    "R = S.regs", "MEM = S.memory",
+    "BC = S.block_counts", "EC = S.edge_counts",
+]
 
 
-#: Compiled code-object cache keyed by generated source.  Bytecode
-#: compilation dominates engine-build time (~75%); the generated source
-#: is a pure function of (program, config, data size), so repeated
-#: Simulator constructions over the same compiled program — the grid
-#: runner's common case — reuse the bytecode and only re-``exec`` it
-#: against the new simulator's state (microseconds).
-_CODE_CACHE: dict[str, object] = {}
-_CODE_CACHE_MAX = 64
+def _prelude(bindings):
+    return "def _factory(S, ctr):" + "".join(f"\n {b}" for b in bindings)
 
 
-def _compile_cached(src, filename):
-    code = _CODE_CACHE.get(src)
-    if code is None:
+_TIMING_PRELUDE = _prelude(_TIMING_BINDINGS)
+_PROFILE_PRELUDE = _prelude(_PROFILE_BINDINGS)
+
+#: Compiled block factories keyed by their full generated source, in
+#: least-recently-used order.  Bytecode compilation dominates codegen;
+#: the source inlines everything program- and configuration-dependent,
+#: and the factory binds a new simulator's state through closure cells,
+#: so any simulator whose block generates the same source reuses it.
+#: Bounded by entry count so the cache cannot grow resident memory over
+#: a long sweep.
+_BLOCK_CACHE: dict[str, object] = {}
+_BLOCK_CACHE_MAX = 512
+
+
+def _compile_block(gen, emit, name, start, end):
+    """Generate block *name* with *emit* and bind it to *gen*'s
+    simulator, compiling only on a cache miss."""
+    gen.out = [gen.prelude]
+    emit(name, start, end)
+    gen.w(1, f"return {name}")
+    src = "\n".join(gen.out) + "\n"
+    factory = _BLOCK_CACHE.pop(src, None)
+    if factory is None:
         _M_CODE_MISSES.inc()
-        code = compile(src, filename, "exec")
-        if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
-            _CODE_CACHE.clear()
-        _CODE_CACHE[src] = code
+        namespace = {"E": SimulationError}
+        exec(compile(src, "<fastsim>", "exec"), namespace)
+        factory = namespace["_factory"]
+        if len(_BLOCK_CACHE) >= _BLOCK_CACHE_MAX:
+            del _BLOCK_CACHE[next(iter(_BLOCK_CACHE))]
     else:
         _M_CODE_HITS.inc()
-    return code
-
-
-def _compile_factory(gen, body_lines, table_items, filename):
-    lines = ["def _factory(S, ctr):"]
-    lines += [" " + b for b in _TIMING_BINDINGS]
-    lines += body_lines
-    entries = ", ".join(table_items)
-    lines.append(" return {%s}" % entries)
-    src = "\n".join(lines) + "\n"
-    namespace = {"E": SimulationError}
-    exec(_compile_cached(src, filename), namespace)
-    return namespace["_factory"](gen.sim, gen.ctr)
+    _BLOCK_CACHE[src] = factory
+    return factory(gen.sim, gen.ctr)
 
 
 def build_engine(sim):
-    """Compile *sim*'s program, or None if it needs the interpreter."""
+    """Set up *sim*'s lazy engine, or None if it needs the interpreter."""
     cfg = sim.config
     if cfg.issue_width != 1 or cfg.mem_ports != 1:
         return None
@@ -935,31 +975,61 @@ def build_engine(sim):
     decoded = sim._decoded
     if any(ins[0] == _FLDI2 for ins in decoded):
         return None
-    gen = _Gen(sim)
-    items = []
-    for start, end in _block_spans(decoded):
-        gen.emit_full(f"b{start}", start, end)
-        rep = "None"
-        if gen.can_replay(start, end):
-            gen.emit_replay(f"r{start}", start, end)
-            rep = f"r{start}"
-        items.append(f"{start}: [b{start}, {end - start}, {rep}, 0]")
-    table = _compile_factory(gen, gen.out, items, "<fastsim>")
-    return _FastEngine(sim, table, gen.ctr, gen.blocks)
+    return _FastEngine(sim, _block_spans(decoded))
 
 
 class _FastEngine:
-    """Driver: dispatch compiled blocks, prefer replay variants."""
+    """Driver: dispatch compiled blocks, prefer replay variants.
 
-    def __init__(self, sim, table, ctr, blocks):
+    A table entry is ``[block fn, instruction count, replay fn or
+    None, consecutive replay failures]``; the block fn slot starts as
+    a compile-on-first-entry stub.
+    """
+
+    def __init__(self, sim, spans):
         self.sim = sim
-        self.table = table
-        self.ctr = ctr
-        self.blocks = blocks
+        self.gen = gen = _Gen(sim, spans, _TIMING_PRELUDE)
+        self.ctr = gen.ctr
+        self.blocks = gen.blocks
+        self.table = {}
+        for start, end in spans:
+            ent = [None, end - start, None, 0]
+            ent[0] = self._stub(ent, start, end)
+            self.table[start] = ent
         #: Replay dispatch outcomes of the last :meth:`run` (also
         #: folded into the global metrics registry at finalize).
         self.replay_hits = 0
         self.replay_misses = 0
+
+    def _stub(self, ent, start, end):
+        """First entry: compile the full variant and install it, or a
+        tier-up counter in front of it for a replay-eligible block."""
+        def stub(t, lastL, lastP):
+            gen = self.gen
+            full = ent[0] = gen.compile(gen.emit_full, f"b{start}",
+                                        start, end)
+            if gen.can_replay(start, end):
+                ent[0] = self._warming(ent, full, start, end)
+            return full(t, lastL, lastP)
+        return stub
+
+    def _warming(self, ent, full, start, end):
+        left = REPLAY_TIER_UP - 1       # the stub ran the first one
+
+        def warming(t, lastL, lastP):
+            nonlocal left
+            left -= 1
+            if not left:
+                self._tier_up(ent, full, start, end)
+            return full(t, lastL, lastP)
+        return warming
+
+    def _tier_up(self, ent, full, start, end):
+        """The block proved hot: install its replay variant and put the
+        raw full variant back in the dispatch slot."""
+        gen = self.gen
+        ent[2] = gen.compile(gen.emit_replay, f"r{start}", start, end)
+        ent[0] = full
 
     def run(self, max_instructions):
         sim = self.sim
@@ -1047,10 +1117,12 @@ def _apply_block_counts(m, ctr, blocks):
         m.branches += c * counts[14]
 
 
-_PROFILE_BINDINGS = [
-    "R = S.regs", "MEM = S.memory",
-    "BC = S.block_counts", "EC = S.edge_counts",
-]
+def _profile_stub(gen, ent, start, end):
+    def stub(cur):
+        fn = ent[0] = gen.compile(gen.emit_profile, f"p{start}",
+                                  start, end)
+        return fn(cur)
+    return stub
 
 
 def run_profile(sim, max_instructions):
@@ -1066,20 +1138,13 @@ def run_profile(sim, max_instructions):
     if any(ins[0] == _FLDI2 for ins in decoded):
         sim._run_reference(max_instructions)
         return
-    gen = _Gen(sim)
-    items = []
-    for start, end in _block_spans(decoded, sim._block_starts):
-        label = sim._block_starts.get(start)
-        gen.emit_profile(f"p{start}", start, end, label)
-        items.append(f"{start}: (p{start}, {end - start})")
-    lines = ["def _factory(S, ctr):"]
-    lines += [" " + b for b in _PROFILE_BINDINGS]
-    lines += gen.out
-    lines.append(" return {%s}" % ", ".join(items))
-    namespace = {"E": SimulationError}
-    exec(_compile_cached("\n".join(lines) + "\n", "<fastsim-profile>"),
-         namespace)
-    table = namespace["_factory"](sim, gen.ctr)
+    spans = _block_spans(decoded, sim._block_starts)
+    gen = _Gen(sim, spans, _PROFILE_PRELUDE)
+    table = {}
+    for start, end in spans:
+        ent = [None, end - start]
+        ent[0] = _profile_stub(gen, ent, start, end)
+        table[start] = ent
     get = table.get
     ctr = gen.ctr
     pc = 0

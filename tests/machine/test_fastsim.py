@@ -4,11 +4,14 @@ selection API (mode=, REPRO_SIM)."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.harness.compile import Options, compile_source
 from repro.isa import DataSymbol, Instruction, assemble, freg, ireg, Reg
 from repro.machine import DEFAULT_CONFIG, SimulationError, Simulator
+from repro.machine import fastsim
 from tests.conftest import SMALL_KERNEL, STENCIL_KERNEL
 
 
@@ -113,15 +116,73 @@ class TestBitIdentity:
         assert fast.metrics.l1d.misses == 1
 
 
+def counted_loop(trips):
+    """entry; loop (FLD/FADD, *trips* iterations); HALT — one block
+    each, the loop replay-eligible."""
+    return assemble([
+        ("entry", [
+            Instruction("LDI", dest=v(0), imm=64),
+            Instruction("LDI", dest=v(1), imm=0),
+            Instruction("FLDI", dest=v(2, "f"), imm=0.0),
+        ]),
+        ("loop", [
+            Instruction("FLD", dest=v(3, "f"), srcs=(v(0),),
+                        offset=0),
+            Instruction("FADD", dest=v(2, "f"),
+                        srcs=(v(2, "f"), v(3, "f"))),
+            Instruction("ADD", dest=v(1), srcs=(v(1),), imm=1),
+            Instruction("CMPLT", dest=v(4), srcs=(v(1),), imm=trips),
+            Instruction("BNE", srcs=(v(4),), label="loop"),
+        ]),
+        ("done", [Instruction("HALT")]),
+    ], symbols=sym(), data_size=64 + 16 * 8)
+
+
 class TestReplay:
-    def test_replay_fires_on_converged_loop(self):
+    def test_replay_fires_on_converged_loop(self, monkeypatch):
         """A steady-state scalar loop replays after its cache/TLB/
         predictor state converges, bit-identically."""
+        program = counted_loop(200)
+        sim = Simulator(program, mode="fast")
+        replayed = [0]
+        tier_up = fastsim._FastEngine._tier_up
+
+        def counting_tier_up(engine, entry, full, start, end):
+            tier_up(engine, entry, full, start, end)
+            orig = entry[2]
+
+            def counting(t, lastL, lastP):
+                result = orig(t, lastL, lastP)
+                if result is not None:
+                    replayed[0] += 1
+                return result
+
+            entry[2] = counting
+
+        monkeypatch.setattr(fastsim._FastEngine, "_tier_up",
+                            counting_tier_up)
+        sim.run()
+        assert replayed[0] > 100
+        ref = Simulator(program, mode="reference")
+        ref.run()
+        assert state_dict(ref) == state_dict(sim)
+
+
+def block_compiles():
+    return (fastsim._M_CODE_HITS.value
+            + fastsim._M_CODE_MISSES.value)
+
+
+class TestLazyCompile:
+    def test_untaken_block_is_never_compiled(self):
+        """Only entered blocks compile, plus one replay variant per
+        block that ran REPLAY_TIER_UP times."""
         program = assemble([
             ("entry", [
                 Instruction("LDI", dest=v(0), imm=64),
                 Instruction("LDI", dest=v(1), imm=0),
                 Instruction("FLDI", dest=v(2, "f"), imm=0.0),
+                Instruction("BNE", srcs=(v(1),), label="cold"),
             ]),
             ("loop", [
                 Instruction("FLD", dest=v(3, "f"), srcs=(v(0),),
@@ -129,34 +190,76 @@ class TestReplay:
                 Instruction("FADD", dest=v(2, "f"),
                             srcs=(v(2, "f"), v(3, "f"))),
                 Instruction("ADD", dest=v(1), srcs=(v(1),), imm=1),
-                Instruction("CMPLT", dest=v(4), srcs=(v(1),), imm=200),
+                Instruction("CMPLT", dest=v(4), srcs=(v(1),), imm=40),
                 Instruction("BNE", srcs=(v(4),), label="loop"),
+            ]),
+            ("done", [Instruction("HALT")]),
+            ("cold", [
+                Instruction("LDI", dest=v(5), imm=7),
                 Instruction("HALT"),
             ]),
         ], symbols=sym(), data_size=64 + 16 * 8)
-        sim = Simulator(program, mode="fast")
-        from repro.machine.fastsim import build_engine
+        before = block_compiles()
+        _ref, fast = assert_identical(program)
+        table = fast._fast_engine.table
+        assert len(table) == 4
+        tiered = sum(ent[2] is not None for ent in table.values())
+        assert tiered == 1
+        # entry, loop and done entered; the loop tiered up.
+        assert block_compiles() - before == 3 + tiered
 
-        engine = build_engine(sim)
-        assert engine is not None
-        replayed = [0]
-        for entry in engine.table.values():
-            if entry[2] is not None:
-                orig = entry[2]
+    @pytest.mark.parametrize("trips", [fastsim.REPLAY_TIER_UP - 1,
+                                       fastsim.REPLAY_TIER_UP])
+    def test_replay_compiles_only_at_tier_up(self, trips):
+        before = block_compiles()
+        _ref, fast = assert_identical(counted_loop(trips))
+        table = fast._fast_engine.table
+        tiered = sum(ent[2] is not None for ent in table.values())
+        assert tiered == (trips >= fastsim.REPLAY_TIER_UP)
+        assert block_compiles() - before == len(table) + tiered
 
-                def counting(t, lastL, lastP, _orig=orig):
-                    result = _orig(t, lastL, lastP)
-                    if result is not None:
-                        replayed[0] += 1
-                    return result
+    def test_second_simulator_reuses_every_block(self):
+        program = counted_loop(40)
+        Simulator(program, mode="fast").run()
+        misses = fastsim._M_CODE_MISSES.value
+        hits = fastsim._M_CODE_HITS.value
+        assert_identical(program)
+        assert fastsim._M_CODE_MISSES.value == misses
+        assert fastsim._M_CODE_HITS.value - hits == 4
 
-                entry[2] = counting
-        sim._fast_engine = engine
+    def test_block_cache_stays_within_cap(self, monkeypatch):
+        monkeypatch.setattr(fastsim, "_BLOCK_CACHE", {})
+        monkeypatch.setattr(fastsim, "_BLOCK_CACHE_MAX", 3)
+        sizes = []
+        compile_block = fastsim._compile_block
+
+        def recording(*args):
+            fn = compile_block(*args)
+            sizes.append(len(fastsim._BLOCK_CACHE))
+            return fn
+
+        monkeypatch.setattr(fastsim, "_compile_block", recording)
+        program = compile_source(
+            STENCIL_KERNEL, Options(scheduler="balanced",
+                                    unroll=4)).program
+        assert_identical(program)
+        assert len(sizes) > 3
+        assert max(sizes) == 3
+
+    def test_lazy_compile_time_is_codegen_not_run(self, monkeypatch):
+        delay = 0.05
+        compile_block = fastsim._compile_block
+
+        def slow(*args):
+            time.sleep(delay)
+            return compile_block(*args)
+
+        monkeypatch.setattr(fastsim, "_compile_block", slow)
+        sim = Simulator(assemble_instrs([Instruction("LDI", dest=v(0),
+                                                     imm=1)]),
+                        mode="fast")
         sim.run()
-        assert replayed[0] > 100
-        ref = Simulator(program, mode="reference")
-        ref.run()
-        assert state_dict(ref) == state_dict(sim)
+        assert sim.codegen_seconds >= delay > sim.run_seconds
 
 
 class TestZeroRegisterScratch:
