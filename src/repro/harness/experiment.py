@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import signal
 import sys
 import threading
@@ -50,7 +49,13 @@ from ..obs import NULL_OBSERVER, Observer
 from ..obs.metrics import REGISTRY as _METRICS
 from ..workloads.programs import WORKLOADS, Workload
 from .compile import Options, compile_source
-from .store import ResultStore, StoreKey, atomic_write_json, source_hash
+from .store import (
+    ResultStore,
+    StoreKey,
+    atomic_write_json,
+    cache_settings,
+    source_hash,
+)
 
 #: Harness-level metrics (repro.obs.metrics): grid points counted by
 #: how they were satisfied.
@@ -409,12 +414,7 @@ class ExperimentRunner:
                  fingerprint: Optional[str] = None,
                  observer: Observer = NULL_OBSERVER,
                  machine_config: Optional[MachineConfig] = None) -> None:
-        if cache_dir is None:
-            cache_dir = Path(
-                os.environ.get("REPRO_CACHE_DIR",
-                               Path.home() / ".cache" / "repro-pldi95"))
-        self.cache_dir = Path(cache_dir)
-        self.use_cache = os.environ.get("REPRO_NO_CACHE") != "1"
+        self.cache_dir, self.use_cache = cache_settings(cache_dir)
         self.verbose = verbose
         self.jobs = max(1, jobs)
         #: Machine the whole grid is compiled for and simulated on;

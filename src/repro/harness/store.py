@@ -65,6 +65,19 @@ REAP_GRACE_SECONDS = 60.0
 TMP_SUFFIX = ".tmp"
 
 
+def cache_settings(cache_dir: Optional[Path] = None) -> tuple[Path, bool]:
+    """The result-cache directory and whether caching is on.
+
+    *cache_dir* wins; otherwise ``REPRO_CACHE_DIR`` (default
+    ``~/.cache/repro-pldi95``).  ``REPRO_NO_CACHE=1`` turns caching
+    off.  Every runner that shares the store resolves it here.
+    """
+    if cache_dir is None:
+        cache_dir = os.environ.get("REPRO_CACHE_DIR",
+                                   Path.home() / ".cache" / "repro-pldi95")
+    return Path(cache_dir), os.environ.get("REPRO_NO_CACHE") != "1"
+
+
 def atomic_write_json(path: Path, payload) -> None:
     """Write JSON atomically: temp file in the same directory, then
     ``os.replace``.  Readers never observe a torn file, concurrent

@@ -7,24 +7,14 @@ Python-level readiness loop.  This module removes that tax for the
 paper's machine (single issue, one memory port, no stall attribution)
 by *compiling* each basic block to a specialized Python function:
 
-* **Full variants** inline the decoded fields as literals (register
-  slots, immediates, latencies, branch targets) and keep the cycle
-  counter symbolic: within a block the current cycle is ``t + K`` for
-  a compile-time constant ``K``, and ``t`` is only materialized when
-  an interlock or memory-system stall actually moves time.  Cache,
-  TLB, MSHR and branch-predictor interactions go through the same
-  model objects as the interpreter, so timing is bit-identical.
-* **Replay variants** memoize the steady state: once caches, TLBs and
-  the MSHRs have converged (every line/page a block touches is
-  resident and no miss is in flight), a block's memory-system
-  behaviour is a pure function of its entry state.  The replay
-  variant checks that convergence with cheap guards (tag compares,
-  dict membership, one "no miss outstanding" compare), *mutating
-  nothing* until every guard has passed, then executes the block with
-  batched metric updates and literal LRU refreshes.  Any guard
-  failure returns ``None`` and the driver falls back to the full
-  variant; 64 consecutive failures disable a block's replay variant
-  (cold blocks should not pay for their own guards).
+* **Timing mode** compiles one *full variant* per block.  It inlines
+  the decoded fields as literals (register slots, immediates,
+  latencies, branch targets) and keeps the cycle counter symbolic:
+  within a block the current cycle is ``t + K`` for a compile-time
+  constant ``K``, and ``t`` is only materialized when an interlock or
+  memory-system stall actually moves time.  Cache, TLB, MSHR and
+  branch-predictor interactions go through the same model objects as
+  the interpreter, so timing is bit-identical.
 * **Profile mode** (:func:`run_profile`) executes architecturally
   only: registers, memory, branch outcomes, and the block/edge
   frequencies the compiler's trace picker needs — no timing, cache or
@@ -32,16 +22,13 @@ by *compiling* each basic block to a specialized Python function:
 
 Compilation is lazy and per block.  Every dispatch-table entry starts
 as a stub; the first call generates that block's source, compiles it,
-installs it and runs it, so blocks that never execute cost nothing.  A
-replay-eligible block first runs its full variant behind a counting
-wrapper; after ``REPLAY_TIER_UP`` executions the wrapper compiles the
-replay variant and swaps itself out for the raw full variant, leaving
-the driver's dispatch loop untouched.  Compiled block factories are
-cached per block, keyed by the block's generated source (which inlines
-every program- and configuration-dependent value), so identical
-blocks of the balanced/traditional twins and of repeated programs
-share bytecode.  Compile time is added to ``Simulator.codegen_seconds``
-and kept out of ``run_seconds``.
+installs it and runs it, so blocks that never execute cost nothing and
+each entered block compiles exactly once.  Compiled block factories
+are cached per block, keyed by the block's generated source (which
+inlines every program- and configuration-dependent value), so
+identical blocks of the balanced/traditional twins and of repeated
+programs share bytecode.  Compile time is added to
+``Simulator.codegen_seconds`` and kept out of ``run_seconds``.
 
 ``build_engine`` returns ``None`` whenever the configuration needs
 the interpreter (multi-issue, multiple memory ports, stall
@@ -55,16 +42,8 @@ import time
 from ..obs.metrics import REGISTRY as _METRICS
 from .simulator import SimulationError
 
-#: Engine counters (repro.obs.metrics).  Replay dispatch outcomes are
-#: tallied in plain local ints inside the hot driver loop and folded
-#: into the registry once at finalize; the code cache counters bump
-#: once per block compile.  Neither touches timing state.
-_M_REPLAY_HITS = _METRICS.counter(
-    "repro_fastsim_replay_hits_total",
-    "block executions served by a memoized replay variant")
-_M_REPLAY_MISSES = _METRICS.counter(
-    "repro_fastsim_replay_misses_total",
-    "replay guard failures that fell back to the full variant")
+#: Engine counters (repro.obs.metrics): the code cache counters bump
+#: once per block compile and never touch timing state.
 _M_CODE_HITS = _METRICS.counter(
     "repro_fastsim_code_cache_hits_total",
     "block compiles served by a cached compiled block factory")
@@ -78,15 +57,6 @@ _LI, _FI, _IC, _BS, _MS, _SPL, _SPS, _MP = range(8)
 _CLS = {"short_int": 8, "long_int": 9, "short_fp": 10, "long_fp": 11,
         "loads": 12, "stores": 13, "branches": 14}
 _NCTR = 15
-
-#: Consecutive guard failures after which a block's replay variant is
-#: dropped (reset on every success): blocks whose working set never
-#: converges should not pay guard cost forever.
-REPLAY_DISABLE_AFTER = 64
-
-#: Executions after which a replay-eligible block compiles its replay
-#: variant: most blocks run too few times to repay the compile.
-REPLAY_TIER_UP = 16
 
 _M64 = (1 << 64) - 1
 
@@ -136,14 +106,11 @@ class _Gen:
         self.slot_of: dict[int, int] = {}
         self.inline_mem = (self.cfg.memory_model == "hierarchy"
                            and sim.l1d.assoc == 1)
-        # When every page the program can touch fits in a TLB at once,
+        # When every data page the program can touch fits in the TLB,
         # evictions never happen and LRU refresh order is unobservable:
         # the per-access dict reorder can be elided entirely.
         self.small_dspace = (((self.memb - 1) >> sim.dtlb.page_shift)
                              + 1 <= self.cfg.dtlb.entries)
-        self.small_ispace = (((len(self.d) * 4 - 1)
-                              >> sim.itlb.page_shift)
-                             + 1 <= self.cfg.itlb.entries)
         for start, end in spans:
             self.register_block(start, end)
 
@@ -179,7 +146,7 @@ class _Gen:
         self.sim.codegen_seconds += time.perf_counter() - t0
         return fn
 
-    # ------------------------------------------------------- readiness
+    # ------------------------------------------------------ ALU values
     def _alu_value(self, ind, code, a, b, dread, target, pc):
         """Emit architectural execution of an ALU op into *target*.
 
@@ -355,8 +322,7 @@ class _Gen:
         ind = 2
         self._batches(ind, start)
         needs_q, finals = self._prepass(start, end)
-        inline_mem = (cfg.memory_model == "hierarchy"
-                      and sim.l1d.assoc == 1)
+        inline_mem = self.inline_mem
         dsh = sim.dtlb.page_shift
         lsh = sim.l1d.line_shift
         lmask = sim.l1d.set_mask
@@ -382,8 +348,7 @@ class _Gen:
             ent = [rentry(s, kc) for s in reads]
             if dread is not None:
                 ent.append(rentry(dread, kc, dest_read=True))
-            self._readiness2(ind, K, [e for e in ent if e],
-                             li="ctr[0]", fi="ctr[1]")
+            self._readiness2(ind, K, [e for e in ent if e])
 
         def commit(ind):
             for slot, expr in shadow.items():
@@ -492,8 +457,7 @@ class _Gen:
                 check(K, srcs)
                 cond = val(srcs[0])
                 commit(ind)
-                self._branch(ind, p, code, cond, target, K,
-                             "lastL", "lastP")
+                self._branch(ind, p, code, cond, target, K)
                 return
             elif code == 9:             # HALT
                 commit(ind)
@@ -520,7 +484,7 @@ class _Gen:
         commit(ind)
         w(ind, f"return {end}, t + {K}, lastL, lastP")
 
-    def _branch(self, ind, p, code, cond, target, K, exL, exP):
+    def _branch(self, ind, p, code, cond, target, K):
         """Conditional terminator with the 2-bit predictor inlined.
 
         *cond* is the expression for the tested register value.
@@ -534,52 +498,29 @@ class _Gen:
         w(ind + 1, "if c < 3:")
         w(ind + 2, f"BP[{idx}] = c + 1")
         w(ind + 1, "if c >= 2:")
-        w(ind + 2, f"return {target}, t + {K + 2}, {exL}, {exP}")
+        w(ind + 2, f"return {target}, t + {K + 2}, lastL, lastP")
         w(ind + 1, "ctr[7] += 1")
         if pen:
             w(ind + 1, f"ctr[3] += {pen}")
-        w(ind + 1, f"return {target}, t + {K + 1 + pen}, {exL}, {exP}")
+        w(ind + 1, f"return {target}, t + {K + 1 + pen}, lastL, lastP")
         w(ind, "if c > 0:")
         w(ind + 1, f"BP[{idx}] = c - 1")
         w(ind, "if c >= 2:")
         w(ind + 1, "ctr[7] += 1")
         if pen:
             w(ind + 1, f"ctr[3] += {pen}")
-        w(ind + 1, f"return {p + 1}, t + {K + 1 + pen}, {exL}, {exP}")
-        w(ind, f"return {p + 1}, t + {K + 1}, {exL}, {exP}")
+        w(ind + 1, f"return {p + 1}, t + {K + 1 + pen}, lastL, lastP")
+        w(ind, f"return {p + 1}, t + {K + 1}, lastL, lastP")
 
-    # ---------------------------------------------------- replay blocks
-    def can_replay(self, start, end):
-        """Static eligibility for a guarded steady-state variant."""
-        if self.cfg.memory_model != "hierarchy":
-            return False                # stochastic latency is per-load
-        if self.sim.l1d.assoc != 1:
-            return False                # hits would shuffle LRU state
-        if not self.cfg.perfect_icache and self.sim.l1i.assoc != 1:
-            return False
-        seen_store = False
-        for p in range(start, end):
-            code = self.d[p][0]
-            if code == 9:
-                return False            # HALT blocks run once
-            if code in (2, 3):
-                seen_store = True
-            elif code <= 1 and seen_store:
-                # The compute phase reads memory before the commit
-                # phase applies the block's stores, so a load after a
-                # store could observe a stale value if they alias.
-                return False
-        return True
-
-    def _readiness2(self, ind, K, entries, li="li", fi="fi"):
+    # -------------------------------------------------------- readiness
+    def _readiness2(self, ind, K, entries):
         """Scoreboard check over expression operands.
 
         *entries* is a list of ``(ready_expr, from_load_expr,
         is_dest_read)``; ``from_load_expr`` may be the literal
         ``"True"``/``"False"`` for in-block producers, which folds the
         attribution branches.  Interlock cycles accumulate into the
-        *li*/*fi* sink expressions (``ctr[...]`` slots for the full
-        variant, locals for the replay variant's deferred commit).
+        load (``ctr[0]``) and fixed (``ctr[1]``) counter slots.
         """
         w = self.w
         tk = f"t + {K}" if K else "t"
@@ -600,16 +541,16 @@ class _Gen:
             rx, fl, _ = entries[0]
             w(ind, f"if {rx} > {tk}:")
             if fl == "True":
-                w(ind + 1, f"{li} += {rx} - t{dl}")
+                w(ind + 1, f"ctr[0] += {rx} - t{dl}")
             elif fl == "False":
-                w(ind + 1, f"{fi} += {rx} - t{dl}")
+                w(ind + 1, f"ctr[1] += {rx} - t{dl}")
             else:
                 w(ind + 1, f"r0 = {rx}")
                 rx = "r0"
                 w(ind + 1, f"if {fl}:")
-                w(ind + 2, f"{li} += {rx} - t{dl}")
+                w(ind + 2, f"ctr[0] += {rx} - t{dl}")
                 w(ind + 1, "else:")
-                w(ind + 2, f"{fi} += {rx} - t{dl}")
+                w(ind + 2, f"ctr[1] += {rx} - t{dl}")
             w(ind + 1, f"t = {rx}{dl}")
             return
         cond = " or ".join(f"{rx} > {tk}" for rx, _, _ in entries)
@@ -632,7 +573,7 @@ class _Gen:
             for nm, _, _ in names:
                 w(ind + 1, f"if {nm} > s:")
                 w(ind + 2, f"s = {nm}")
-            sink = li if fls == {"True"} else fi
+            sink = "ctr[0]" if fls == {"True"} else "ctr[1]"
             w(ind + 1, f"{sink} += s - t{dl}")
             w(ind + 1, f"t = s{dl}")
             return
@@ -650,204 +591,10 @@ class _Gen:
                       f"elif {nm} == s and {fl} and s > {tk}:")
                     w(ind + 2, "il = True")
         w(ind + 1, "if il:")
-        w(ind + 2, f"{li} += s - t{dl}")
+        w(ind + 2, f"ctr[0] += s - t{dl}")
         w(ind + 1, "else:")
-        w(ind + 2, f"{fi} += s - t{dl}")
+        w(ind + 2, f"ctr[1] += s - t{dl}")
         w(ind + 1, f"t = s{dl}")
-
-    def emit_replay(self, name, start, end):
-        """Two-phase steady-state variant.
-
-        Phase 1 computes every value into SSA-style temporaries and
-        checks the convergence guards (lines/pages resident, no miss
-        in flight, addresses in bounds) without mutating anything; any
-        failure returns ``None``.  Phase 2 commits registers, memory,
-        scoreboard entries, LRU refreshes and batched counters, then
-        resolves the terminator with the predictor inlined.
-        """
-        d = self.d
-        w = self.w
-        cfg = self.cfg
-        sim = self.sim
-        w(1, f"def {name}(t, lastL, lastP):")
-        ind = 2
-        dsh = sim.dtlb.page_shift
-        lsh = sim.l1d.line_shift
-        lmask = sim.l1d.set_mask
-        l1d_lat = cfg.l1d.latency
-        has_load = any(d[p][0] <= 1 for p in range(start, end))
-        if has_load:
-            w(ind, "if SIM._mshr_max > t:")
-            w(ind + 1, "return None")   # a miss is still in flight
-        # Fetch guards: every line/page the block touches must be
-        # resident; only the entry line's memo test is dynamic.
-        n_interior = 0
-        entry_pg = None
-        interior_pages = {}             # p -> itlb page to refresh
-        if not cfg.perfect_icache:
-            ish = sim.l1i.line_shift
-            imask = sim.l1i.set_mask
-            psh = sim.itlb.page_shift
-            ad0 = start << 2
-            cl0 = ad0 >> ish
-            w(ind, "ia = 0")
-            w(ind, f"if lastL != {ad0 >> 5}:")
-            w(ind + 1, f"if {ad0 >> 13} != lastP"
-                       f" and {ad0 >> psh} not in IT:")
-            w(ind + 2, "return None")
-            w(ind + 1, f"ways = L1IW[{cl0 & imask}]")
-            w(ind + 1, f"if not ways or ways[0] != {cl0}:")
-            w(ind + 2, "return None")
-            w(ind + 1, "ia = 1")
-            entry_pg = (ad0 >> 13, ad0 >> psh)
-            for p in range(start + 1, end):
-                ad = p << 2
-                if (ad >> 5) == ((p - 1) << 2) >> 5:
-                    continue
-                n_interior += 1
-                cl = ad >> ish
-                w(ind, f"ways = L1IW[{cl & imask}]")
-                w(ind, f"if not ways or ways[0] != {cl}:")
-                w(ind + 1, "return None")
-                if (ad >> 13) != ((p - 1) << 2) >> 13:
-                    w(ind, f"if {ad >> psh} not in IT:")
-                    w(ind + 1, "return None")
-                    interior_pages[p] = ad >> psh
-            exL, exP = self._exit_fetch(start, end)
-        else:
-            exL, exP = "lastL", "lastP"
-        # ---- phase 1: pure compute + guards.
-        w(ind, "li = 0")
-        w(ind, "fi = 0")
-        shadow = {}                     # slot -> value expression
-        srdy = {}                       # slot -> (ready var, from_load)
-        commits = []                    # ordered phase-2 actions
-        n_loads = 0
-
-        def val(slot):
-            return shadow.get(slot, f"R[{slot}]")
-
-        def rentry(slot, dest_read=False):
-            if slot in srdy:
-                qv, fload = srdy[slot]
-                return (qv, "True" if fload else "False", dest_read)
-            return (f"RDY[{slot}]", f"F[{slot}]", dest_read)
-
-        K = 0
-        terminator = None
-        for p in range(start, end):
-            (code, dest, srcs, imm, offset, target, latency, _cls,
-             _spill, reads_dest, track) = d[p]
-            n = p - start
-            if code <= 1:               # load: must be an L1D hit
-                self._readiness2(ind, K, [rentry(srcs[0])])
-                off = f" + {offset}" if offset else ""
-                w(ind, f"a{n} = {val(srcs[0])}{off}")
-                w(ind, f"if a{n} < 0 or a{n} >= {self.memb}:")
-                w(ind + 1, "return None")   # full variant raises
-                w(ind, f"g{n} = a{n} >> {dsh}")
-                w(ind, f"if g{n} not in DT:")
-                w(ind + 1, "return None")
-                w(ind, f"x = a{n} >> {lsh}")
-                w(ind, f"ways = L1DW[x & {lmask}]")
-                w(ind, f"if not ways or ways[0] != x:")
-                w(ind + 1, "return None")
-                w(ind, f"v{n} = MEM[a{n} >> 3]")
-                shadow[dest] = f"v{n}"
-                if track:
-                    w(ind, f"q{n} = t + {K + l1d_lat}")
-                    srdy[dest] = (f"q{n}", True)
-                commits.append(("tlb", f"g{n}"))
-                n_loads += 1
-                K += 1
-            elif code <= 3:             # store: line already in L1D
-                self._readiness2(
-                    ind, K, [rentry(srcs[0]), rentry(srcs[1])])
-                off = f" + {offset}" if offset else ""
-                w(ind, f"a{n} = {val(srcs[1])}{off}")
-                w(ind, f"if a{n} < 0 or a{n} >= {self.memb}:")
-                w(ind + 1, "return None")
-                w(ind, f"g{n} = a{n} >> {dsh}")
-                w(ind, f"if g{n} not in DT:")
-                w(ind + 1, "return None")
-                w(ind, f"x = a{n} >> {lsh}")
-                w(ind, f"ways = L1DW[x & {lmask}]")
-                w(ind, f"if not ways or ways[0] != x:")
-                w(ind + 1, "return None")
-                commits.append(("tlb", f"g{n}"))
-                commits.append(("mem", f"a{n}", val(srcs[0])))
-                K += 1
-            elif code <= 5:             # LDI / FLDI
-                shadow[dest] = repr(imm)
-                if track:
-                    w(ind, f"q{n} = t + {K + 1}")
-                    srdy[dest] = (f"q{n}", False)
-                K += 1
-            elif code == 6:             # BR
-                terminator = ("br", target, K + 2)
-                break
-            elif code <= 8:             # BEQ / BNE
-                self._readiness2(ind, K, [rentry(srcs[0])])
-                terminator = ("cond", p, code, srcs[0], target, K)
-                break
-            elif code == 10:            # NOP
-                K += 1
-            else:                       # ALU
-                entries = [rentry(s) for s in srcs]
-                if reads_dest and dest >= 0:
-                    entries.append(rentry(dest, dest_read=True))
-                self._readiness2(ind, K, entries)
-                a = val(srcs[0]) if srcs else repr(imm)
-                b = val(srcs[1]) if len(srcs) > 1 else repr(imm)
-                dread = val(dest)
-                self._alu_value(ind, code, a, b, dread, f"v{n}", p)
-                shadow[dest] = f"v{n}"
-                if track:
-                    w(ind, f"q{n} = t + {K + latency}")
-                    srdy[dest] = (f"q{n}", False)
-                K += 1
-        # ---- phase 2: commit.
-        self._batches(ind, start)
-        if not cfg.perfect_icache:
-            # Interior probe accesses are in the block's static counts;
-            # only the conditional entry probe counts dynamically.
-            w(ind, "if ia:")
-            w(ind + 1, "L1IST.accesses += 1")
-            if not self.small_ispace:
-                w(ind + 1, f"if {entry_pg[0]} != lastP:")
-                w(ind + 2, f"del IT[{entry_pg[1]}]")
-                w(ind + 2, f"IT[{entry_pg[1]}] = None")
-            if not self.small_ispace:
-                for pg in interior_pages.values():
-                    w(ind, f"del IT[{pg}]")
-                    w(ind, f"IT[{pg}] = None")
-        for action in commits:
-            if action[0] == "tlb":
-                if not self.small_dspace:
-                    w(ind, f"del DT[{action[1]}]")
-                    w(ind, f"DT[{action[1]}] = None")
-            else:
-                w(ind, f"MEM[{action[1]} >> 3] = {action[2]}")
-        for slot, expr in shadow.items():
-            w(ind, f"R[{slot}] = {expr}")
-        for slot, (qv, fload) in srdy.items():
-            w(ind, f"RDY[{slot}] = {qv}")
-            w(ind, f"F[{slot}] = {fload}")
-        w(ind, "ctr[0] += li")
-        w(ind, "ctr[1] += fi")
-        if terminator is None:
-            w(ind, f"return {end}, t + {K}, {exL}, {exP}")
-        elif terminator[0] == "br":
-            w(ind, f"return {terminator[1]}, t + {terminator[2]}, "
-                   f"{exL}, {exP}")
-        else:
-            _tag, p, code, s0, target, K = terminator
-            self._branch(ind, p, code, val(s0), target, K, exL, exP)
-
-    def _exit_fetch(self, start, end):
-        """Static exit values of the fetch memo (last line executed)."""
-        ad = (end - 1) << 2
-        return str(ad >> 5), str(ad >> 13)
 
     # --------------------------------------------------- profile blocks
     def emit_profile(self, name, start, end):
@@ -915,8 +662,8 @@ _TIMING_BINDINGS = [
     "R = S.regs", "RDY = S.ready", "F = S.from_load", "MEM = S.memory",
     "DLOAD = S._dload", "DSTORE = S._dstore",
     "IFILL = S._ifill_latency", "ITLB = S.itlb.lookup",
-    "L1I = S.l1i.lookup", "BP = S.bpred.counters", "SIM = S",
-    "DT = S.dtlb.pages", "IT = S.itlb.pages", "L1DW = S.l1d.sets",
+    "L1I = S.l1i.lookup", "BP = S.bpred.counters",
+    "DT = S.dtlb.pages", "L1DW = S.l1d.sets",
     "L1IW = S.l1i.sets", "L1DST = S.l1d.stats", "L1IST = S.l1i.stats",
     "MSHR = S._mshr",
 ]
@@ -978,70 +725,43 @@ def build_engine(sim):
     return _FastEngine(sim, _block_spans(decoded))
 
 
-class _FastEngine:
-    """Driver: dispatch compiled blocks, prefer replay variants.
+def _stub(gen, emit, ent, name, start, end):
+    """Dispatch-table placeholder: the first call compiles the block
+    with *emit*, installs it in *ent* and runs it."""
+    def stub(*args):
+        fn = ent[0] = gen.compile(emit, name, start, end)
+        return fn(*args)
+    return stub
 
-    A table entry is ``[block fn, instruction count, replay fn or
-    None, consecutive replay failures]``; the block fn slot starts as
-    a compile-on-first-entry stub.
-    """
+
+def _dispatch_table(gen, emit, prefix, spans):
+    """Block start pc -> ``[block fn, instruction count]``, every block
+    fn slot starting as a compile-on-first-entry stub."""
+    table = {}
+    for start, end in spans:
+        ent = [None, end - start]
+        ent[0] = _stub(gen, emit, ent, f"{prefix}{start}", start, end)
+        table[start] = ent
+    return table
+
+
+class _FastEngine:
+    """Driver: dispatch compiled full-variant blocks."""
 
     def __init__(self, sim, spans):
         self.sim = sim
-        self.gen = gen = _Gen(sim, spans, _TIMING_PRELUDE)
+        gen = _Gen(sim, spans, _TIMING_PRELUDE)
         self.ctr = gen.ctr
         self.blocks = gen.blocks
-        self.table = {}
-        for start, end in spans:
-            ent = [None, end - start, None, 0]
-            ent[0] = self._stub(ent, start, end)
-            self.table[start] = ent
-        #: Replay dispatch outcomes of the last :meth:`run` (also
-        #: folded into the global metrics registry at finalize).
-        self.replay_hits = 0
-        self.replay_misses = 0
-
-    def _stub(self, ent, start, end):
-        """First entry: compile the full variant and install it, or a
-        tier-up counter in front of it for a replay-eligible block."""
-        def stub(t, lastL, lastP):
-            gen = self.gen
-            full = ent[0] = gen.compile(gen.emit_full, f"b{start}",
-                                        start, end)
-            if gen.can_replay(start, end):
-                ent[0] = self._warming(ent, full, start, end)
-            return full(t, lastL, lastP)
-        return stub
-
-    def _warming(self, ent, full, start, end):
-        left = REPLAY_TIER_UP - 1       # the stub ran the first one
-
-        def warming(t, lastL, lastP):
-            nonlocal left
-            left -= 1
-            if not left:
-                self._tier_up(ent, full, start, end)
-            return full(t, lastL, lastP)
-        return warming
-
-    def _tier_up(self, ent, full, start, end):
-        """The block proved hot: install its replay variant and put the
-        raw full variant back in the dispatch slot."""
-        gen = self.gen
-        ent[2] = gen.compile(gen.emit_replay, f"r{start}", start, end)
-        ent[0] = full
+        self.table = _dispatch_table(gen, gen.emit_full, "b", spans)
 
     def run(self, max_instructions):
-        sim = self.sim
-        ctr = self.ctr
         get = self.table.get
         t = 0
         pc = 0
         lastL = -1
         lastP = -1
         executed = 0
-        replay_hits = 0
-        replay_misses = 0
         while True:
             ent = get(pc)
             if ent is None:
@@ -1053,24 +773,7 @@ class _FastEngine:
                 raise SimulationError("instruction limit exceeded "
                                       f"({max_instructions})")
             executed += nb
-            rep = ent[2]
-            if rep is not None:
-                res = rep(t, lastL, lastP)
-                if res is not None:
-                    replay_hits += 1
-                    if ent[3]:
-                        ent[3] = 0
-                    pc, t, lastL, lastP = res
-                    continue
-                replay_misses += 1
-                fails = ent[3] + 1
-                if fails >= REPLAY_DISABLE_AFTER:
-                    ent[2] = None
-                    fails = 0
-                ent[3] = fails
             pc, t, lastL, lastP = ent[0](t, lastL, lastP)
-        self.replay_hits = replay_hits
-        self.replay_misses = replay_misses
         self._finalize(t, executed)
 
     def _finalize(self, t, executed):
@@ -1094,10 +797,6 @@ class _FastEngine:
                 if ni:
                     sim.l1i.stats.accesses += c * ni
         sim._flush_machine_stats()
-        if self.replay_hits:
-            _M_REPLAY_HITS.inc(self.replay_hits)
-        if self.replay_misses:
-            _M_REPLAY_MISSES.inc(self.replay_misses)
 
 
 def _apply_block_counts(m, ctr, blocks):
@@ -1117,14 +816,6 @@ def _apply_block_counts(m, ctr, blocks):
         m.branches += c * counts[14]
 
 
-def _profile_stub(gen, ent, start, end):
-    def stub(cur):
-        fn = ent[0] = gen.compile(gen.emit_profile, f"p{start}",
-                                  start, end)
-        return fn(cur)
-    return stub
-
-
 def run_profile(sim, max_instructions):
     """Architectural-only execution: block/edge counts, no timing.
 
@@ -1140,12 +831,7 @@ def run_profile(sim, max_instructions):
         return
     spans = _block_spans(decoded, sim._block_starts)
     gen = _Gen(sim, spans, _PROFILE_PRELUDE)
-    table = {}
-    for start, end in spans:
-        ent = [None, end - start]
-        ent[0] = _profile_stub(gen, ent, start, end)
-        table[start] = ent
-    get = table.get
+    get = _dispatch_table(gen, gen.emit_profile, "p", spans).get
     ctr = gen.ctr
     pc = 0
     cur = None

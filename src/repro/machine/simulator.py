@@ -155,9 +155,6 @@ class Simulator:
         #: answered by popping expired heads — O(log n) per miss
         #: instead of rebuilding a list over every dict value.
         self._mshr_heap: list[int] = []
-        #: Latest completion time ever pushed; the compiled engine's
-        #: replay guard ("no miss in flight") is one integer compare.
-        self._mshr_max = 0
         self._rng_state = 0x1234ABCD          # stochastic-model LCG
 
         # Profiling.
@@ -745,8 +742,6 @@ class Simulator:
         completion = now + latency
         mshr[line] = completion
         heapq.heappush(heap, completion)
-        if completion > self._mshr_max:
-            self._mshr_max = completion
         return latency, stall
 
     def _dstore(self, addr: int) -> None:

@@ -33,7 +33,6 @@ fan-out.
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from copy import deepcopy
 from dataclasses import dataclass
@@ -48,7 +47,12 @@ from ..codegen.verify import verify_program
 from ..frontend import frontend
 from ..harness.compile import Options, make_weight_model
 from ..harness.experiment import _package_fingerprint, options_for
-from ..harness.store import ResultStore, StoreKey, source_hash
+from ..harness.store import (
+    ResultStore,
+    StoreKey,
+    cache_settings,
+    source_hash,
+)
 from ..ir.cfg import Cfg
 from ..ir.dag import build_dag
 from ..ir.liveness import liveness
@@ -352,12 +356,7 @@ class OracleRunner:
                  fingerprint: Optional[str] = None,
                  machine_config: Optional[MachineConfig] = None,
                  budget: OracleBudget = DEFAULT_BUDGET) -> None:
-        if cache_dir is None:
-            cache_dir = Path(
-                os.environ.get("REPRO_CACHE_DIR",
-                               Path.home() / ".cache" / "repro-pldi95"))
-        self.cache_dir = Path(cache_dir)
-        self.use_cache = os.environ.get("REPRO_NO_CACHE") != "1"
+        self.cache_dir, self.use_cache = cache_settings(cache_dir)
         self.jobs = max(1, jobs)
         self.verbose = verbose
         self.budget = budget

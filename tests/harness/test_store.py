@@ -1,5 +1,5 @@
-"""Sharded result store: layout, atomicity, orphan reaping, and
-machine-config-aware cache keys."""
+"""Sharded result store: layout, atomicity, orphan reaping,
+machine-config-aware cache keys, and cache-directory resolution."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from repro.harness.store import (
     source_hash,
 )
 from repro.machine import DEFAULT_CONFIG, config_hash
+from repro.oracle.gap import OracleRunner
 
 
 def _key(**overrides) -> StoreKey:
@@ -159,3 +160,18 @@ def test_source_hash_is_stable_and_short():
     assert source_hash("abc") == source_hash("abc")
     assert source_hash("abc") != source_hash("abd")
     assert len(source_hash("abc")) == 12
+
+
+class TestCacheSettings:
+    def test_runners_resolve_the_same_cache(self, tmp_path, monkeypatch):
+        """The experiment and oracle runners share one store, so they
+        must agree on its directory and on REPRO_NO_CACHE."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        runners = [ExperimentRunner(), OracleRunner()]
+        assert [r.cache_dir for r in runners] == [tmp_path, tmp_path]
+        assert all(r.use_cache for r in runners)
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        runners = [ExperimentRunner(), OracleRunner()]
+        assert [r.cache_dir for r in runners] == [tmp_path, tmp_path]
+        assert not any(r.use_cache for r in runners)

@@ -1,6 +1,6 @@
 """Compiled fast engine: bit-identity vs. the reference interpreter,
-replay memoization, MSHR bookkeeping under the heap, and the engine
-selection API (mode=, REPRO_SIM)."""
+MSHR bookkeeping under the heap, lazy once-per-block compilation, and
+the engine selection API (mode=, REPRO_SIM)."""
 
 from __future__ import annotations
 
@@ -115,10 +115,14 @@ class TestBitIdentity:
         ref, fast = assert_identical(program)
         assert fast.metrics.l1d.misses == 1
 
+    def test_converged_loop(self):
+        """A 200-trip loop whose cache/TLB/predictor state converges."""
+        assert_identical(counted_loop(200))
+
 
 def counted_loop(trips):
     """entry; loop (FLD/FADD, *trips* iterations); HALT — one block
-    each, the loop replay-eligible."""
+    each."""
     return assemble([
         ("entry", [
             Instruction("LDI", dest=v(0), imm=64),
@@ -138,36 +142,6 @@ def counted_loop(trips):
     ], symbols=sym(), data_size=64 + 16 * 8)
 
 
-class TestReplay:
-    def test_replay_fires_on_converged_loop(self, monkeypatch):
-        """A steady-state scalar loop replays after its cache/TLB/
-        predictor state converges, bit-identically."""
-        program = counted_loop(200)
-        sim = Simulator(program, mode="fast")
-        replayed = [0]
-        tier_up = fastsim._FastEngine._tier_up
-
-        def counting_tier_up(engine, entry, full, start, end):
-            tier_up(engine, entry, full, start, end)
-            orig = entry[2]
-
-            def counting(t, lastL, lastP):
-                result = orig(t, lastL, lastP)
-                if result is not None:
-                    replayed[0] += 1
-                return result
-
-            entry[2] = counting
-
-        monkeypatch.setattr(fastsim._FastEngine, "_tier_up",
-                            counting_tier_up)
-        sim.run()
-        assert replayed[0] > 100
-        ref = Simulator(program, mode="reference")
-        ref.run()
-        assert state_dict(ref) == state_dict(sim)
-
-
 def block_compiles():
     return (fastsim._M_CODE_HITS.value
             + fastsim._M_CODE_MISSES.value)
@@ -175,8 +149,7 @@ def block_compiles():
 
 class TestLazyCompile:
     def test_untaken_block_is_never_compiled(self):
-        """Only entered blocks compile, plus one replay variant per
-        block that ran REPLAY_TIER_UP times."""
+        """Only entered blocks compile, each exactly once."""
         program = assemble([
             ("entry", [
                 Instruction("LDI", dest=v(0), imm=64),
@@ -203,20 +176,14 @@ class TestLazyCompile:
         _ref, fast = assert_identical(program)
         table = fast._fast_engine.table
         assert len(table) == 4
-        tiered = sum(ent[2] is not None for ent in table.values())
-        assert tiered == 1
-        # entry, loop and done entered; the loop tiered up.
-        assert block_compiles() - before == 3 + tiered
+        # entry, loop and done entered; cold never.
+        assert block_compiles() - before == 3
 
-    @pytest.mark.parametrize("trips", [fastsim.REPLAY_TIER_UP - 1,
-                                       fastsim.REPLAY_TIER_UP])
-    def test_replay_compiles_only_at_tier_up(self, trips):
+    def test_hot_loop_compiles_each_block_once(self):
         before = block_compiles()
-        _ref, fast = assert_identical(counted_loop(trips))
-        table = fast._fast_engine.table
-        tiered = sum(ent[2] is not None for ent in table.values())
-        assert tiered == (trips >= fastsim.REPLAY_TIER_UP)
-        assert block_compiles() - before == len(table) + tiered
+        _ref, fast = assert_identical(counted_loop(200))
+        assert len(fast._fast_engine.table) == 3
+        assert block_compiles() - before == 3
 
     def test_second_simulator_reuses_every_block(self):
         program = counted_loop(40)
@@ -225,7 +192,7 @@ class TestLazyCompile:
         hits = fastsim._M_CODE_HITS.value
         assert_identical(program)
         assert fastsim._M_CODE_MISSES.value == misses
-        assert fastsim._M_CODE_HITS.value - hits == 4
+        assert fastsim._M_CODE_HITS.value - hits == 3
 
     def test_block_cache_stays_within_cap(self, monkeypatch):
         monkeypatch.setattr(fastsim, "_BLOCK_CACHE", {})

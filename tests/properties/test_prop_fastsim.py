@@ -2,10 +2,11 @@
 reference interpreter on generated loop kernels.
 
 The generator builds small array kernels (loads, stores, fp
-arithmetic, conditionals, reductions) whose steady-state iterations
-exercise the engine's block memoization; every metrics counter,
-including the interlock split and the cache/TLB stats, plus final
-memory and registers must match the interpreter exactly.
+arithmetic, conditionals, reductions) whose iterations run the
+engine's compiled blocks over cold and warm cache state; every
+metrics counter, including the interlock split and the cache/TLB
+stats, plus final memory and registers must match the interpreter
+exactly.
 """
 
 from hypothesis import given, settings
