@@ -16,8 +16,8 @@ Commands:
   gap" vs balanced/traditional scheduling (``--oracle-budget`` caps
   the search; bailed proofs are reported honestly, never inflated);
 * ``obs-diff A B``   — compare two run manifests and flag cycle /
-  load-interlock regressions beyond a threshold (plus heuristic-gap
-  regressions when both manifests carry an oracle section);
+  load-interlock regressions beyond a threshold (plus analysis drift
+  when both manifests carry an analysis section);
 * ``check [BENCH]``  — static analysis: validated compiles plus lints
   over benchmarks; exits non-zero iff an error diagnostic is found;
 * ``analyze [BENCH]`` — symbolic dependence + register-pressure
@@ -30,10 +30,7 @@ Commands:
 Common compiler flags: ``--scheduler {balanced,traditional,none}``,
 ``--unroll {0,4,8}``, ``--trace``, ``--locality``, ``--swp``,
 ``--issue-width N``.  ``bench``/``tables``/``report`` accept
-``--oracle`` to run the scheduling oracle alongside the grid (the gap
-summary is attached to the run manifest and, for ``report``, rendered
-as its own section), ``--configs a,b,c`` (or ``REPRO_CONFIGS``) to
-restrict the grid,
+``--configs a,b,c`` (or ``REPRO_CONFIGS``) to restrict the grid,
 ``--trace [PREFIX]`` to record a pipeline trace (JSONL + Chrome
 trace-event files, written at ``PREFIX.jsonl`` / ``PREFIX.chrome.json``),
 and ``--validate-ir`` (or ``REPRO_VALIDATE_IR=1``) to re-check the IR
@@ -145,48 +142,6 @@ def _apply_validate_flag(args: argparse.Namespace) -> None:
         os.environ["REPRO_VALIDATE_IR"] = "1"
 
 
-def _add_sim_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--sim", default=None, choices=("auto", "fast", "reference"),
-        help="simulator engine: the compiled fast engine, the "
-             "reference interpreter, or auto (fast when supported); "
-             "equivalent to REPRO_SIM")
-
-
-def _apply_sim_flag(args: argparse.Namespace) -> None:
-    # Exported through the environment so forked grid workers
-    # (harness.experiment) inherit the engine choice too.
-    sim = getattr(args, "sim", None)
-    if sim == "auto":
-        os.environ.pop("REPRO_SIM", None)
-    elif sim:
-        os.environ["REPRO_SIM"] = sim
-    else:
-        # A bad $REPRO_SIM should fail like a bad --sim: one line,
-        # before any grid worker trips over it mid-sweep.
-        env = os.environ.get("REPRO_SIM", "").strip()
-        if env and env not in ("fast", "reference"):
-            raise SystemExit(
-                f"repro: invalid REPRO_SIM value {env!r} "
-                f"(expected 'fast' or 'reference')")
-
-
-def _add_oracle_budget_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--oracle-budget", type=int, default=None, metavar="NODES",
-        help="search-node budget per block/loop (default: 200000; "
-             "deterministic — results are bit-stable for a fixed "
-             "budget)")
-
-
-def _add_oracle_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--oracle", action="store_true",
-        help="also run the scheduling oracle (base config) and attach "
-             "the heuristic-gap summary to the run manifest")
-    _add_oracle_budget_flag(parser)
-
-
 def _oracle_runner(args: argparse.Namespace):
     from .oracle import DEFAULT_BUDGET, OracleBudget, OracleRunner
 
@@ -198,28 +153,6 @@ def _oracle_runner(args: argparse.Namespace):
                 f"got {args.oracle_budget}")
         budget = OracleBudget(max_nodes=args.oracle_budget)
     return OracleRunner(jobs=_resolve_jobs(args.jobs), budget=budget)
-
-
-def _run_oracle(args: argparse.Namespace, runner,
-                benchmarks: list[str] | None = None) -> None:
-    """Oracle sweep for ``--oracle``: print the summary, attach it to
-    the run manifest (manifest v4) when one was written."""
-    from .oracle import attach_oracle, oracle_summary
-
-    oracle = _oracle_runner(args)
-    payloads = oracle.sweep(benchmarks=benchmarks, configs=["base"])
-    summary = oracle_summary(payloads)
-    totals = summary["totals"]
-    print(f"oracle (budget {summary['budget']}): "
-          f"{totals['blocks_certified']}/{totals['blocks']} blocks "
-          f"certified, {totals['loops_certified']}/{totals['loops']} "
-          f"loops certified, {totals['loops_beyond_heuristic']} loops "
-          f"settled beyond the heuristic", file=sys.stderr)
-    if runner is not None and runner.use_cache \
-            and runner.manifest_path.exists():
-        attach_oracle(runner.manifest_path, summary)
-        print(f"oracle section attached: {runner.manifest_path}",
-              file=sys.stderr)
 
 
 def _make_observer(args: argparse.Namespace) -> Observer:
@@ -305,7 +238,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    _apply_sim_flag(args)
     source = _read_source("run", args.file)
     with _source_errors("run", args.file):
         result = compile_source(source, _options(args),
@@ -321,7 +253,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     _apply_validate_flag(args)
-    _apply_sim_flag(args)
     observer = _make_observer(args)
     runner = ExperimentRunner(verbose=True,
                               jobs=_resolve_jobs(args.jobs),
@@ -345,15 +276,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
                       f"{100 * result.load_interlock_fraction:>9.1f}%")
     if runner.use_cache:
         print(f"run manifest: {runner.manifest_path}", file=sys.stderr)
-    if args.oracle:
-        _run_oracle(args, runner, benchmarks=names)
     _finish_trace(observer, args)
     return 0
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
     _apply_validate_flag(args)
-    _apply_sim_flag(args)
     unknown = [n for n in args.numbers if n not in ALL_TABLES]
     if unknown:
         raise SystemExit(
@@ -383,8 +311,6 @@ def cmd_tables(args: argparse.Namespace) -> int:
         table = fn() if number <= 3 else fn(runner)
         print()
         print(table.format())
-    if args.oracle:
-        _run_oracle(args, runner)
     _finish_trace(observer, args)
     return 0
 
@@ -393,24 +319,17 @@ def cmd_report(args: argparse.Namespace) -> int:
     from .harness.report import build_report, write_report
 
     _apply_validate_flag(args)
-    _apply_sim_flag(args)
     observer = _make_observer(args)
     runner = ExperimentRunner(verbose=True,
                               jobs=_resolve_jobs(args.jobs),
                               observer=observer)
     configs = _resolve_configs(args)
-    oracle = _oracle_runner(args) if args.oracle else None
     if args.output:
-        text = write_report(args.output, runner, configs=configs,
-                            oracle=oracle)
+        text = write_report(args.output, runner, configs=configs)
         print(f"report written to {args.output}", file=sys.stderr)
     else:
-        text = build_report(runner, configs=configs, oracle=oracle)
+        text = build_report(runner, configs=configs)
     print(text)
-    if args.oracle:
-        # The report already swept the oracle grid (memoized); this
-        # only prints the one-line summary and attaches manifest v4.
-        _run_oracle(args, runner)
     _finish_trace(observer, args)
     return 0
 
@@ -486,7 +405,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             f"{', '.join(WORKLOAD_ORDER)})")
     configs = _resolve_configs(args) or ["base"]
     oracle = _oracle_runner(args)
-    oracle.verbose = True
+    # The runner prints progress to stdout; under --json that would
+    # put non-JSON lines ahead of the document.
+    oracle.verbose = not args.json
     payloads = oracle.sweep(benchmarks=names, configs=configs)
     if args.json:
         print(_json.dumps(payloads if args.full
@@ -627,7 +548,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="compile and simulate")
     p_run.add_argument("file")
-    _add_sim_flag(p_run)
     p_run.add_argument("--dump", nargs="*", metavar="SYMBOL",
                        help="print these data symbols after the run")
     _add_compiler_flags(p_run)
@@ -640,8 +560,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_jobs_flag(p_bench)
     _add_trace_flag(p_bench)
     _add_validate_flag(p_bench)
-    _add_sim_flag(p_bench)
-    _add_oracle_flags(p_bench)
     p_bench.set_defaults(fn=cmd_bench)
 
     p_tables = sub.add_parser("tables", help="regenerate paper tables")
@@ -653,8 +571,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_jobs_flag(p_tables)
     _add_trace_flag(p_tables)
     _add_validate_flag(p_tables)
-    _add_sim_flag(p_tables)
-    _add_oracle_flags(p_tables)
     p_tables.set_defaults(fn=cmd_tables)
 
     p_report = sub.add_parser("report",
@@ -664,8 +580,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_jobs_flag(p_report)
     _add_trace_flag(p_report)
     _add_validate_flag(p_report)
-    _add_sim_flag(p_report)
-    _add_oracle_flags(p_report)
     p_report.set_defaults(fn=cmd_report)
 
     p_oracle = sub.add_parser(
@@ -674,14 +588,17 @@ def main(argv: list[str] | None = None) -> int:
     p_oracle.add_argument("names", nargs="*",
                           help="benchmark names (default: all)")
     p_oracle.add_argument("--json", action="store_true",
-                          help="print the manifest-ready summary as "
-                               "JSON")
+                          help="print the gap summary as JSON")
     p_oracle.add_argument("--full", action="store_true",
                           help="with --json: full per-block/per-loop "
                                "payloads instead of the summary")
     _add_configs_flag(p_oracle, "base")
     _add_jobs_flag(p_oracle)
-    _add_oracle_budget_flag(p_oracle)
+    p_oracle.add_argument(
+        "--oracle-budget", type=int, default=None, metavar="NODES",
+        help="search-node budget per block/loop (default: 200000; "
+             "deterministic — results are bit-stable for a fixed "
+             "budget)")
     p_oracle.set_defaults(fn=cmd_oracle)
 
     p_profile = sub.add_parser(

@@ -87,10 +87,10 @@ MANIFEST_NAME = "run-manifest.json"
 
 #: Manifest schema version.  v3 added the ``partial`` flag (graceful
 #: shutdown writes a well-formed manifest for the completed prefix of
-#: the grid) and machine-config-aware cache keys.  v4 added the
-#: optional ``oracle`` section (heuristic-gap summary from
-#: ``repro.oracle``, attached by the ``--oracle`` CLI flag and gated
-#: by ``repro obs-diff``).  v5 added the ``metrics`` section (the
+#: the grid) and machine-config-aware cache keys.  v4 added an
+#: optional ``oracle`` section, since retired: ``repro oracle`` prints
+#: the heuristic gap itself, and an ``oracle`` key in an older
+#: manifest is ignored.  v5 added the ``metrics`` section (the
 #: folded :mod:`repro.obs.metrics` counters of the sweep: a compact
 #: summary plus the raw mergeable snapshot).  v6 added the optional
 #: ``analysis`` section (dependence/pressure summary from
@@ -226,9 +226,6 @@ class Manifest:
     runs: list[ManifestRun] = field(default_factory=list)
     modulo: Optional[dict] = None
     trace: Optional[dict] = None
-    #: Heuristic-gap summary (:func:`repro.oracle.gap.oracle_summary`),
-    #: attached after the sweep when ``--oracle`` is given (v4).
-    oracle: Optional[dict] = None
     #: Folded metrics counters of the sweep (v5): ``{"summary": ...,
     #: "snapshot": ...}``; None in manifests older than v5.
     metrics: Optional[dict] = None
@@ -243,8 +240,6 @@ class Manifest:
             del data["modulo"]
         if self.trace is None:
             del data["trace"]
-        if self.oracle is None:
-            del data["oracle"]
         if self.metrics is None:
             del data["metrics"]
         return data
@@ -273,7 +268,6 @@ def parse_manifest(data: dict) -> Manifest:
         runs=runs,
         modulo=data.get("modulo"),
         trace=data.get("trace"),
-        oracle=data.get("oracle"),
         metrics=data.get("metrics"),
         partial=data.get("partial", False))
 

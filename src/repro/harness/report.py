@@ -177,88 +177,17 @@ def swp_section(runner: ExperimentRunner) -> list[str]:
     return lines
 
 
-def gap_section(payloads: list) -> list[str]:
-    """The heuristic-gap tables: certified optimum vs the heuristics.
-
-    *payloads* are per-point gap analyses from
-    :class:`~repro.oracle.gap.OracleRunner`.  Gap = execution-weighted
-    block cost (issue span + expected load stall) of a heuristic over
-    the oracle's certified-or-witnessed minimum; >= 1.0 by
-    construction, 1.0 means the heuristic matched the optimum
-    everywhere.  Certification counts keep the claim honest: blocks
-    and loops where the proof bailed (budget) or was skipped (size
-    gate) contribute their best *witnessed* cost, not a proven one.
-    """
-    lines = ["", "## Heuristic gap (scheduling oracle)", ""]
-    if not payloads:
-        lines.append("No oracle results (run with `--oracle`).")
-        return lines
-    lines.append(
-        f"Search budget {payloads[0]['budget']}; every oracle schedule "
-        "is re-validated through `repro.check` dependence checking and "
-        "the machine-code verifier before it is counted.")
-    lines.append("")
-    lines.append("| Benchmark | Gap (balanced) | Gap (traditional) | "
-                 "Blocks certified | Loops certified | "
-                 "II beyond heuristic |")
-    lines.append("|---|---|---|---|---|---|")
-    beyond_total = 0
-    for payload in payloads:
-        s = payload["summary"]
-        beyond_total += s["loops_beyond_heuristic"]
-        lines.append(
-            f"| {payload['benchmark']} | {s['gap']['balanced']:.4f} | "
-            f"{s['gap']['traditional']:.4f} | "
-            f"{s['blocks_certified']}/{s['blocks']} | "
-            f"{s['loops_certified']}/{s['loops']} | "
-            f"{s['loops_beyond_heuristic']} |")
-    lines.append("")
-    total = len(WORKLOAD_ORDER)
-    for name in ("balanced", "traditional"):
-        gaps = [p["summary"]["gap"][name] for p in payloads]
-        lines.append(
-            f"Geomean gap, {name} vs oracle: "
-            f"**{geometric_mean(gaps):.4f}** "
-            f"({coverage(len(gaps), total)}).")
-    if beyond_total:
-        lines.append("")
-        lines.append(
-            f"The modulo oracle settled **{beyond_total}** loops "
-            "beyond the iterative scheduler's own evidence (a proven "
-            "II = MII the heuristic missed, or a certified lower "
-            "bound above MII):")
-        for payload in payloads:
-            for loop in payload.get("loops", []):
-                if not loop.get("beyond_heuristic"):
-                    continue
-                heur = loop["heuristic_ii"] or "none"
-                if loop["status"] == "optimal":
-                    verdict = f"proven optimal II={loop['optimal_ii']}"
-                else:
-                    verdict = (f"certified II lower bound "
-                               f"{loop['certified_lb']}")
-                lines.append(
-                    f"- {payload['benchmark']} `{loop['label']}`: "
-                    f"MII={loop['mii']}, heuristic II={heur}, "
-                    f"{verdict}")
-    return lines
-
-
 #: Configs the software-pipelining section needs.
 _SWP_SECTION_CONFIGS = frozenset(("base", "lu4", "swp", "la+swp"))
 
 
 def build_report(runner: Optional[ExperimentRunner] = None,
-                 configs: Optional[list[str]] = None,
-                 oracle: Optional[object] = None) -> str:
+                 configs: Optional[list[str]] = None) -> str:
     """Render the comparison as a markdown table.
 
     *configs* restricts the report to metrics whose grid configs are
     all included (``--configs``/``REPRO_CONFIGS``); the default is the
-    full report.  *oracle*, when given, is an
-    :class:`~repro.oracle.gap.OracleRunner` (or any object with the
-    same ``sweep``) whose base-config gap analyses feed the
-    heuristic-gap section.
+    full report.
     """
     runner = runner or ExperimentRunner()
     selected = None if configs is None else set(configs)
@@ -295,17 +224,12 @@ def build_report(runner: Optional[ExperimentRunner] = None,
                  "metrics within tolerance.")
     if want_swp:
         lines.extend(swp_section(runner))
-    if oracle is not None:
-        payloads = oracle.sweep(benchmarks=list(WORKLOAD_ORDER),
-                                configs=["base"])
-        lines.extend(gap_section(payloads))
     return "\n".join(lines)
 
 
 def write_report(path: str | Path,
                  runner: Optional[ExperimentRunner] = None,
-                 configs: Optional[list[str]] = None,
-                 oracle: Optional[object] = None) -> str:
-    text = build_report(runner, configs=configs, oracle=oracle)
+                 configs: Optional[list[str]] = None) -> str:
+    text = build_report(runner, configs=configs)
     Path(path).write_text(text + "\n")
     return text

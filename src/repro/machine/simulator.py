@@ -78,9 +78,8 @@ class Simulator:
 
     * ``"auto"`` (default): the throughput-oriented compiled engine
       (:mod:`repro.machine.fastsim`) whenever the configuration
-      supports it, the reference interpreter otherwise.  The
-      ``REPRO_SIM`` environment variable (``fast`` / ``reference``)
-      overrides the choice.
+      supports it (single issue, no stall attribution, no profiling),
+      the reference interpreter otherwise.
     * ``"fast"`` / ``"reference"``: force one engine.  ``"fast"``
       raises if the configuration is unsupported.
     * ``"profile"``: architectural execution only — block and edge
@@ -90,7 +89,7 @@ class Simulator:
 
     Both timing engines are bit-identical in every :class:`Metrics`
     counter and in final architectural state (the test suite and the
-    ``sim-throughput`` CI job enforce this).  After :meth:`run`,
+    ``sim-identity`` CI job enforce this).  After :meth:`run`,
     ``mode_used`` records which engine actually executed.
     """
 
@@ -270,14 +269,7 @@ class Simulator:
                 "already executed its program; construct a new "
                 "Simulator to run it again")
         self._ran = True
-        mode = self.mode
-        if mode == "auto":
-            env = os.environ.get("REPRO_SIM", "").strip()
-            if env and env not in ("fast", "reference"):
-                raise ValueError(
-                    f"REPRO_SIM must be 'fast' or 'reference', "
-                    f"got {env!r}")
-            mode = env or "fast"
+        mode = "fast" if self.mode == "auto" else self.mode
         # Engine construction is compilation, not simulation: build it
         # outside the timed window (like ``_predecode`` in __init__) so
         # ``run_seconds`` measures pure execution.  The codegen cost is

@@ -26,10 +26,6 @@ from typing import Optional
 #: level absolute changes).
 MIN_INTERLOCK_DELTA = 50
 
-#: Heuristic-gap increases below this absolute amount are never
-#: flagged (a 1.0001 -> 1.0003 wiggle is not a scheduling regression).
-MIN_GAP_DELTA = 0.005
-
 
 @dataclass
 class PointDelta:
@@ -88,10 +84,6 @@ class DiffResult:
     deltas: list[PointDelta] = field(default_factory=list)
     only_base: list[str] = field(default_factory=list)
     only_new: list[str] = field(default_factory=list)
-    #: Heuristic-gap regressions from the manifests' ``oracle``
-    #: sections (manifest v4); empty when either side lacks one.
-    oracle_regressions: list[str] = field(default_factory=list)
-    oracle_points: int = 0
     #: Dependence/pressure regressions from the manifests' ``analysis``
     #: sections (manifest v6); empty when either side lacks one.
     analysis_regressions: list[str] = field(default_factory=list)
@@ -108,14 +100,11 @@ class DiffResult:
 
     @property
     def ok(self) -> bool:
-        return not self.regressed and not self.oracle_regressions \
-            and not self.analysis_regressions
+        return not self.regressed and not self.analysis_regressions
 
     def format(self) -> str:
         lines = [f"compared {len(self.deltas)} grid point(s), "
                  f"threshold {100 * self.threshold:.2f}%"]
-        if self.oracle_points:
-            lines[0] += f" (+ {self.oracle_points} oracle point(s))"
         if self.analysis_points:
             lines[0] += (f" (+ {self.analysis_points} analysis "
                          f"point(s))")
@@ -137,8 +126,6 @@ class DiffResult:
         for delta, reasons in self.regressed:
             for reason in reasons:
                 lines.append(f"  !! {delta.key}: {reason}")
-        for reason in self.oracle_regressions:
-            lines.append(f"  !! oracle: {reason}")
         for reason in self.analysis_regressions:
             lines.append(f"  !! analysis: {reason}")
         if self.ok:
@@ -153,39 +140,6 @@ def _index_runs(manifest: dict) -> dict[str, dict]:
                f"{entry['config']}")
         runs[key] = entry
     return runs
-
-
-def _diff_oracle(base: dict, new: dict,
-                 threshold: float) -> tuple[list[str], int]:
-    """Gate the heuristic-gap sections of two v4 manifests.
-
-    Flags, per oracle point present in the baseline: a balanced or
-    traditional gap that grew beyond the relative threshold (the
-    heuristic drifted away from the certified optimum), any drop in
-    certified blocks/loops (lost proving power — usually a budget or
-    encoding change), and lost beyond-heuristic loop proofs.
-    """
-    reasons: list[str] = []
-    base_points = base.get("points", {})
-    new_points = new.get("points", {})
-    for key, b in sorted(base_points.items()):
-        n = new_points.get(key)
-        if n is None:
-            reasons.append(f"{key} missing from new manifest")
-            continue
-        for name in ("gap_balanced", "gap_traditional"):
-            delta = n.get(name, 0.0) - b.get(name, 0.0)
-            if b.get(name) and delta > MIN_GAP_DELTA \
-                    and delta / b[name] > threshold:
-                reasons.append(
-                    f"{key}: {name} {b[name]} -> {n[name]}")
-        for name in ("blocks_certified", "loops_certified",
-                     "loops_beyond_heuristic"):
-            if n.get(name, 0) < b.get(name, 0):
-                reasons.append(
-                    f"{key}: {name} dropped "
-                    f"{b.get(name, 0)} -> {n.get(name, 0)}")
-    return reasons, len(base_points)
 
 
 def _diff_analysis(base: dict, new: dict,
@@ -244,9 +198,6 @@ def diff_manifests(base: dict, new: dict,
     base_runs = _index_runs(base)
     new_runs = _index_runs(new)
     result = DiffResult(threshold=threshold)
-    if base.get("oracle") and new.get("oracle"):
-        result.oracle_regressions, result.oracle_points = _diff_oracle(
-            base["oracle"], new["oracle"], threshold)
     if base.get("analysis") and new.get("analysis"):
         result.analysis_regressions, result.analysis_points = \
             _diff_analysis(base["analysis"], new["analysis"], threshold)

@@ -43,7 +43,6 @@ from .gap import (
     OracleBudget,
     OracleRunner,
     analyze_point,
-    attach_oracle,
     oracle_summary,
 )
 from .modulo import LoopOracleResult, decide_ii, oracle_loop
@@ -66,5 +65,5 @@ __all__ = [
     "LoopOracleResult", "decide_ii", "oracle_loop",
     "OracleBudget", "OracleRunner", "DEFAULT_BUDGET",
     "GAP_SCHEMA_VERSION", "ORACLE_SCHEDULER",
-    "analyze_point", "attach_oracle", "oracle_summary",
+    "analyze_point", "oracle_summary",
 ]

@@ -32,7 +32,6 @@ fan-out.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from copy import deepcopy
 from dataclasses import dataclass
@@ -438,11 +437,11 @@ class OracleRunner:
 
 
 def oracle_summary(payloads: list) -> dict:
-    """Manifest-ready aggregate over a list of gap payloads.
+    """Aggregate over a list of gap payloads.
 
-    Keyed per benchmark/config point, plus suite totals — this is the
-    ``oracle`` section of manifest v4 and what ``repro obs-diff``
-    gates on.
+    Keyed per benchmark/config point, plus suite totals — this is what
+    ``repro oracle --json`` prints (``--full`` prints the payloads
+    themselves).
     """
     points = {}
     totals = {"blocks": 0, "blocks_certified": 0, "blocks_bailed": 0,
@@ -471,12 +470,3 @@ def oracle_summary(payloads: list) -> dict:
         "totals": totals,
     }
 
-
-def attach_oracle(manifest_path: Path, summary: dict) -> None:
-    """Atomically rewrite a run manifest with the ``oracle`` section."""
-    from ..harness.store import atomic_write_json
-
-    path = Path(manifest_path)
-    data = json.loads(path.read_text())
-    data["oracle"] = summary
-    atomic_write_json(path, data)

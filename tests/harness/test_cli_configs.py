@@ -142,22 +142,22 @@ def test_bad_configs_env_exits_with_one_liner(monkeypatch):
         main(["bench", "ora"])
 
 
-def test_bad_sim_env_exits_with_one_liner(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM", "turbo")
+def test_oracle_bad_budget_exits_with_one_liner():
     with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "ora", "--configs", "base"])
+        main(["oracle", "ora", "--oracle-budget", "0"])
     message = str(excinfo.value.code)
-    assert "invalid REPRO_SIM value 'turbo'" in message
+    assert "--oracle-budget must be > 0" in message
     assert "\n" not in message
 
 
-def test_sim_flag_overrides_bad_env(monkeypatch, tmp_path):
-    # --sim auto clears a stale REPRO_SIM instead of tripping on it.
-    monkeypatch.setenv("REPRO_SIM", "turbo")
+def test_oracle_json_is_parseable_on_a_serial_cold_run(monkeypatch,
+                                                       capsys):
+    # One point computes serially, where the runner's progress line
+    # would otherwise land on stdout ahead of the JSON document.
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    assert main(["bench", "ora", "--configs", "base",
-                 "--sim", "auto"]) == 0
-    assert "REPRO_SIM" not in os.environ
+    assert main(["oracle", "ora", "--json"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert set(summary["points"]) == {"ora/base"}
 
 
 def test_profile_unknown_benchmark_exits_with_one_liner():

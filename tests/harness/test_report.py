@@ -71,70 +71,12 @@ def test_swp_section_flags_contract_violations():
     assert any("contract broken" in line for line in lines)
 
 
-def _gap_payload(benchmark="ora", **over):
-    summary = {
-        "blocks": 6, "blocks_certified": 5, "blocks_bailed": 1,
-        "gap": {"balanced": 1.05, "traditional": 1.4},
-        "loops": 2, "loops_certified": 2, "loops_beyond_heuristic": 1,
-    }
-    payload = {
-        "benchmark": benchmark, "config": "base", "schema": 1,
-        "budget": "n1000", "validated": True, "summary": summary,
-        "blocks": [],
-        "loops": [{"label": ".loop1", "status": "optimal",
-                   "optimal_ii": 14, "certified_lb": 14, "mii": 14,
-                   "heuristic_ii": 15, "beyond_heuristic": True}],
-    }
-    payload.update(over)
-    return payload
-
-
 def test_every_geomean_line_carries_coverage():
     import re
 
-    from repro.harness.report import gap_section
-
     text = build_report(StubRunner())
-    text += "\n".join(gap_section([_gap_payload()]))
     geomeans = [line for line in text.splitlines()
                 if "Geomean" in line]
     assert geomeans
     for line in geomeans:
         assert re.search(r"\(n=\d+/\d+\)", line), line
-
-
-def test_gap_section_renders_table_and_proofs():
-    from repro.harness.report import gap_section
-
-    lines = gap_section([_gap_payload()])
-    text = "\n".join(lines)
-    assert "## Heuristic gap (scheduling oracle)" in text
-    assert "| ora | 1.0500 | 1.4000 | 5/6 | 2/2 | 1 |" in text
-    assert "Geomean gap, balanced vs oracle" in text
-    assert "proven optimal II=14" in text
-
-
-def test_gap_section_certified_lb_verdict():
-    from repro.harness.report import gap_section
-
-    payload = _gap_payload()
-    payload["loops"][0].update(status="bailed", optimal_ii=0,
-                               certified_lb=16)
-    text = "\n".join(gap_section([payload]))
-    assert "certified II lower bound 16" in text
-
-
-def test_gap_section_without_payloads_points_at_flag():
-    from repro.harness.report import gap_section
-
-    assert any("--oracle" in line for line in gap_section([]))
-
-
-def test_build_report_with_oracle_includes_gap_section():
-    class StubOracle:
-        def sweep(self, benchmarks=None, configs=None):
-            return [_gap_payload()]
-
-    text = build_report(StubRunner(), oracle=StubOracle())
-    assert "## Heuristic gap (scheduling oracle)" in text
-    assert "| ora | 1.0500" in text

@@ -1,14 +1,12 @@
-"""Gap driver: analysis payloads, caching, manifest attachment."""
+"""Gap driver: analysis payloads, caching, the summary."""
 
 import json
 
-from repro.harness.store import atomic_write_json
 from repro.oracle.gap import (
     GAP_SCHEMA_VERSION,
     OracleBudget,
     OracleRunner,
     analyze_point,
-    attach_oracle,
     oracle_summary,
 )
 
@@ -76,12 +74,3 @@ def test_sweep_covers_the_grid(tmp_path, monkeypatch):
     assert totals["blocks"] == sum(p["summary"]["blocks"]
                                    for p in payloads)
 
-
-def test_attach_oracle_rewrites_manifest(tmp_path):
-    manifest = tmp_path / "run-manifest.json"
-    atomic_write_json(manifest, {"version": 4, "runs": []})
-    summary = {"schema": GAP_SCHEMA_VERSION, "points": {}, "totals": {}}
-    attach_oracle(manifest, summary)
-    data = json.loads(manifest.read_text())
-    assert data["version"] == 4          # existing keys preserved
-    assert data["oracle"]["schema"] == GAP_SCHEMA_VERSION
